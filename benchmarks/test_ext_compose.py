@@ -27,7 +27,7 @@ from repro.core.pipeline import compose_cell_plan
 from repro.formats.base import as_csr
 from repro.matrices.collection import SuiteSparseLikeCollection
 from repro.matrices.generators import banded_matrix, random_row_update
-from repro.serve import PlanCache, SpMMRequest, SpMMServer
+from repro.serve import OpRequest, PlanCache, SpMMServer
 from repro.serve.fingerprint import fingerprint_csr, plan_key
 
 
@@ -151,7 +151,7 @@ def _storm_requests():
     """One measure-only request per distinct matrix: every serve a miss."""
     coll = SuiteSparseLikeCollection(size=20, max_rows=6_000, seed=29)
     return [
-        SpMMRequest(matrix=e.matrix, B=None, J=128, name=e.name) for e in coll
+        OpRequest(matrix=e.matrix, B=None, J=128, name=e.name) for e in coll
     ]
 
 

@@ -41,10 +41,13 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    counter,
+    counter_values,
     escape_label_value,
     format_labels,
     get_registry,
     parse_prometheus,
+    publish_counters,
 )
 from repro.obs.slo import (
     Alert,
@@ -87,6 +90,9 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "parse_prometheus",
+    "counter",
+    "publish_counters",
+    "counter_values",
     "escape_label_value",
     "format_labels",
     "DEFAULT_LATENCY_BUCKETS_MS",

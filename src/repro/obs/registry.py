@@ -31,6 +31,7 @@ round-trip.  A process-wide default registry is available via
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import threading
@@ -540,3 +541,29 @@ _global_registry = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry."""
     return _global_registry
+
+
+# ----------------------------------------------------------------------
+# Scoreboard counters: one declaration per counter.
+
+def counter(name: str, help: str, default: float = 0):
+    """A scoreboard counter: a plain dataclass field (increments stay
+    attribute arithmetic) whose metadata carries its Prometheus name and
+    help text.  Pass ``default=0.0`` for a seconds total."""
+    return dataclasses.field(default=default, metadata={"prometheus": (name, help)})
+
+
+def _counter_fields(scoreboard) -> list:
+    return [f for f in dataclasses.fields(scoreboard) if "prometheus" in f.metadata]
+
+
+def publish_counters(scoreboard, registry: MetricsRegistry) -> None:
+    """Register each :func:`counter` field as a callback-backed counter."""
+    for f in _counter_fields(scoreboard):
+        registry.counter(*f.metadata["prometheus"],
+                         callback=lambda s=scoreboard, a=f.name: getattr(s, a))
+
+
+def counter_values(scoreboard) -> dict:
+    """``{field: value}`` of the :func:`counter` fields, in declaration order."""
+    return {f.name: getattr(scoreboard, f.name) for f in _counter_fields(scoreboard)}

@@ -3,7 +3,7 @@
 The paper's argument (Figures 8-9) is that composition is cheap enough to
 amortize *online*; this package supplies the layer that does the
 amortizing.  A :class:`~repro.serve.server.SpMMServer` accepts
-:class:`~repro.serve.server.SpMMRequest` objects, keys composed plans by a
+:class:`~repro.serve.server.OpRequest` objects, keys composed plans by a
 content fingerprint of the sparsity pattern (so repeated matrices hit a
 byte-budgeted LRU :class:`~repro.serve.plan_cache.PlanCache` instead of
 re-running the pipeline), applies deadline-driven admission control (a
@@ -41,8 +41,7 @@ key has enough evidence, overrides the static §5 selector — re-pinning
 the cached plan when its decision flips the format (docs/ADAPTIVE.md).
 
 Requests are op-typed (:class:`~repro.serve.server.OpRequest`,
-``op ∈ {spmm, sddmm, spmv}``; ``SpMMRequest``/``SpMMResponse`` remain as
-aliases) and plans are cached per ``(fingerprint, op, J)``.
+``op ∈ {spmm, sddmm, spmv}``) and plans are cached per ``(fingerprint, op, J)``.
 :mod:`~repro.serve.graph` chains ops into DAG requests
 (:class:`~repro.serve.graph.GraphRequest`) — a GNN layer's
 SDDMM → normalize → SpMM → dense-update pipeline served end to end with
@@ -91,8 +90,6 @@ from repro.serve.server import (
     OpRequest,
     OpResponse,
     ResponseStatus,
-    SpMMRequest,
-    SpMMResponse,
     SpMMServer,
 )
 from repro.serve.workload import WorkloadSpec, generate_workload, zipf_weights
@@ -133,8 +130,6 @@ __all__ = [
     "ResponseStatus",
     "OpRequest",
     "OpResponse",
-    "SpMMRequest",
-    "SpMMResponse",
     "SpMMServer",
     "WorkloadSpec",
     "generate_workload",

@@ -44,6 +44,7 @@ serves a request — the cluster benchmark asserts exactly this.
 from __future__ import annotations
 
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,7 +71,7 @@ from repro.serve.fingerprint import fingerprint_csr, plan_key
 from repro.serve.plan_cache import DEFAULT_MAX_BYTES, CacheEntry, PlanCache
 from repro.serve.resilience import RetryPolicy
 from repro.serve.scheduler import Scheduler
-from repro.serve.server import SpMMRequest, SpMMResponse, SpMMServer
+from repro.serve.server import OpRequest, OpResponse, SpMMServer
 
 
 @dataclass
@@ -78,7 +79,7 @@ class _Pending:
     """One routed-but-not-yet-served request, fingerprinted at submit."""
 
     ticket: int
-    request: SpMMRequest
+    request: OpRequest
     A: sp.csr_matrix
     key: str
     #: Shards that already failed this request (reroutes avoid them).
@@ -131,6 +132,14 @@ class MembershipChange:
     def fraction(self) -> float:
         """``keys_moved / cached_keys`` — the measured remigration cost."""
         return self.keys_moved / self.cached_keys if self.cached_keys else 0.0
+
+
+#: Per-shard server counters summed into the fleet view of ``snapshot()``.
+_FLEET_SUMS = (
+    "speculative_misses", "speculative_swaps", "speculative_skipped", "speculative_errors",
+    "plan_reuses", "bandit_observations", "bandit_overrides", "bandit_explorations",
+    "bandit_flips", "bandit_retrains",
+)
 
 
 class ClusterFrontend:
@@ -231,7 +240,7 @@ class ClusterFrontend:
         self._shards: dict[str, _Shard] = {}
         self._next_shard_index = 0
         self._next_ticket = 0
-        self._completed: dict[int, SpMMResponse] = {}
+        self._completed: dict[int, OpResponse] = {}
         #: Ring version at which each hot key was last replicated.
         self._replicated: dict[str, int] = {}
         self._ring_version = 0
@@ -332,18 +341,34 @@ class ClusterFrontend:
             lane = self._shard_tracers[shard_id] = Tracer(name=shard_id)
         return lane
 
-    def _mark_enqueued(
-        self, shard: _Shard, item: _Pending, kind: str
-    ) -> None:
-        """Drop a zero-length ``enqueue`` span on the shard's lane —
-        the cross-lane breadcrumb that shows which shards a request
-        visited even before (or without) being served there."""
+    def _enqueue(self, shard: _Shard, item: _Pending, kind: str) -> None:
+        """Queue ``item`` on ``shard`` and count the routing decision.
+
+        With tracing on, a zero-length ``enqueue`` span lands on the
+        shard's lane — the cross-lane breadcrumb that shows which shards a
+        request visited even before (or without) being served there."""
+        shard.pending.append(item)
+        shard.routed += 1
+        self.metrics.routed += 1
         lane = self._shard_lane(shard.shard_id)
         ctx = item.request.ctx
         if lane is None or ctx is None:
             return
         with lane.span("enqueue", ctx=ctx, kind=kind, key=item.key[:16]):
             pass
+
+    @contextmanager
+    def _on_lane(self, shard: _Shard):
+        """Record onto the shard's own tracer lane for the block, so the
+        merged trace renders one process track per shard; the request's
+        TraceContext links the lanes."""
+        lane = self._shard_lane(shard.shard_id)
+        previous = set_tracer(lane) if lane is not None else None
+        try:
+            yield
+        finally:
+            if previous is not None:
+                set_tracer(previous)
 
     def lanes(self) -> dict[str, Tracer]:
         """Every tracer lane for :func:`repro.obs.merge_traces`: the
@@ -520,7 +545,7 @@ class ClusterFrontend:
         return True
 
     # -- serving surface -----------------------------------------------
-    def submit(self, request: SpMMRequest) -> int:
+    def submit(self, request: OpRequest) -> int:
         """Fingerprint, route, and enqueue a request; returns a ticket.
 
         This is the cluster's trace ingress: with tracing on, a
@@ -540,25 +565,21 @@ class ClusterFrontend:
             key = plan_key(fingerprint_csr(A), request.J, request.op)
             shard = self._route(key)
             span.set(key=key[:16], shard=shard.shard_id)
-            item = _Pending(ticket=ticket, request=request, A=A, key=key)
-            shard.pending.append(item)
-            shard.routed += 1
-            self.metrics.routed += 1
-            self._mark_enqueued(shard, item, kind="submit")
+            self._enqueue(shard, _Pending(ticket=ticket, request=request, A=A, key=key), "submit")
         return ticket
 
-    def poll(self, ticket: int) -> SpMMResponse | None:
+    def poll(self, ticket: int) -> OpResponse | None:
         """Claim one completed response (serving anything pending first)."""
         self._process_all()
         return self._completed.pop(ticket, None)
 
-    def drain(self) -> list[SpMMResponse]:
+    def drain(self) -> list[OpResponse]:
         """Serve everything pending on every shard; returns all unclaimed
         responses in submission (ticket) order."""
         self._process_all()
         return [self._completed.pop(t) for t in sorted(self._completed)]
 
-    def serve(self, request: SpMMRequest) -> SpMMResponse:
+    def serve(self, request: OpRequest) -> OpResponse:
         """Serve one request now — thin wrapper over submit/poll."""
         response = self.poll(self.submit(request))
         assert response is not None  # in-process poll always completes
@@ -591,13 +612,8 @@ class ClusterFrontend:
             shard.routed += 1
             self.metrics.routed += 1
             self.metrics.graphs += 1
-        lane = self._shard_lane(shard.shard_id)
-        previous = set_tracer(lane) if lane is not None else None
-        try:
+        with self._on_lane(shard):
             response = GraphEngine(shard.server).run(graph)
-        finally:
-            if previous is not None:
-                set_tracer(previous)
         shard.completed += 1
         self.metrics.completed += 1
         self.metrics.graph_stages += response.device_stages
@@ -617,13 +633,8 @@ class ClusterFrontend:
                 for item, response in zip(items, self._serve_on(shard, items)):
                     self._finish(shard, item, response)
 
-    def _serve_on(self, shard: _Shard, items: list[_Pending]) -> list[SpMMResponse]:
-        # Each shard records onto its own tracer lane (swapped in around
-        # the serve call), so the merged trace renders one process track
-        # per shard; the request's TraceContext links the lanes.
-        lane = self._shard_lane(shard.shard_id)
-        previous = set_tracer(lane) if lane is not None else None
-        try:
+    def _serve_on(self, shard: _Shard, items: list[_Pending]) -> list[OpResponse]:
+        with self._on_lane(shard):
             if shard.scheduler is not None:
                 for item in items:
                     shard.scheduler.submit(item.request)
@@ -634,11 +645,8 @@ class ClusterFrontend:
                 shard.server._serve_one(item.request, A=item.A, key=item.key)
                 for item in items
             ]
-        finally:
-            if previous is not None:
-                set_tracer(previous)
 
-    def _finish(self, shard: _Shard, item: _Pending, response: SpMMResponse) -> None:
+    def _finish(self, shard: _Shard, item: _Pending, response: OpResponse) -> None:
         if self.slo is not None:
             # Attempt-level feed: a shard-level failure burns budget even
             # when the reroute below ultimately serves the request — the
@@ -667,14 +675,10 @@ class ClusterFrontend:
             )
             if target is not None:
                 self.metrics.rerouted += 1
-                self.metrics.routed += 1
                 # The latency burned on the failing shard is this
                 # request's migration cost, attributed when it completes.
                 item.migration_ms += response.latency_ms
-                dest = self._shards[target]
-                dest.pending.append(item)
-                dest.routed += 1
-                self._mark_enqueued(dest, item, kind="reroute")
+                self._enqueue(self._shards[target], item, "reroute")
                 return
         shard.completed += 1
         if response.measurement is not None:
@@ -688,23 +692,19 @@ class ClusterFrontend:
         self._completed[item.ticket] = response
 
     def _attribute(
-        self, shard: _Shard, item: _Pending, response: SpMMResponse
+        self, shard: _Shard, item: _Pending, response: OpResponse
     ) -> None:
-        """Record the finished request's stage breakdown (cluster view)."""
-        compose_ms = response.compose_overhead_s * 1e3
-        launch_ms = max(
-            0.0,
-            response.latency_ms
-            - response.queue_wait_ms
-            - compose_ms
-            - response.backoff_ms,
-        )
+        """Record the finished request's stage breakdown (cluster view).
+
+        ``launch`` reads the simulated kernel time, the same source the
+        shard's own attribution uses."""
+        measurement = response.measurement
         self.metrics.attribution.record(
             response.trace_id,
             {
                 "queue_wait": response.queue_wait_ms,
-                "compose": compose_ms,
-                "launch": launch_ms,
+                "compose": response.compose_overhead_s * 1e3,
+                "launch": measurement.time_ms if measurement is not None else 0.0,
                 "retry_backoff": response.backoff_ms,
                 "migration": item.migration_ms,
             },
@@ -831,11 +831,7 @@ class ClusterFrontend:
         """Re-route a departed shard's queued requests (no request loss)."""
         items, departed.pending = departed.pending, []
         for item in items:
-            target = self._route(item.key, observe=False)
-            target.pending.append(item)
-            target.routed += 1
-            self.metrics.routed += 1
-            self._mark_enqueued(target, item, kind="requeue")
+            self._enqueue(self._route(item.key, observe=False), item, "requeue")
         return len(items)
 
     # -- replay --------------------------------------------------------
@@ -847,7 +843,7 @@ class ClusterFrontend:
 
     def replay(
         self,
-        requests: list[SpMMRequest],
+        requests: list[OpRequest],
         *,
         kill_shard_at_ms: float | None = None,
         kill_shard: str | None = None,
@@ -932,15 +928,7 @@ class ClusterFrontend:
                 "makespan_ms": self.makespan_ms,
                 "throughput_rps": self.aggregate_throughput_rps,
                 "scaling_efficiency": self.scaling_efficiency,
-                "speculative_misses": sum(m.speculative_misses for m in fleet),
-                "speculative_swaps": sum(m.speculative_swaps for m in fleet),
-                "speculative_skipped": sum(m.speculative_skipped for m in fleet),
-                "plan_reuses": sum(m.plan_reuses for m in fleet),
-                "bandit_observations": sum(m.bandit_observations for m in fleet),
-                "bandit_overrides": sum(m.bandit_overrides for m in fleet),
-                "bandit_explorations": sum(m.bandit_explorations for m in fleet),
-                "bandit_flips": sum(m.bandit_flips for m in fleet),
-                "bandit_retrains": sum(m.bandit_retrains for m in fleet),
+                **{name: sum(getattr(m, name) for m in fleet) for name in _FLEET_SUMS},
             },
             "slo": self.slo.snapshot() if self.slo is not None else None,
             "shards": [],

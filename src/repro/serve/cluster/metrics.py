@@ -15,36 +15,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs import AttributionCollector, MetricsRegistry
+from repro.obs import (
+    AttributionCollector,
+    MetricsRegistry,
+    counter,
+    counter_values,
+    publish_counters,
+)
 
 
 @dataclass
 class ClusterMetrics:
     """Scoreboard updated by :class:`repro.serve.cluster.ClusterFrontend`."""
 
-    #: Routing decisions made (original submits + reroutes after failure).
-    routed: int = 0
-    #: Routes resolved by power-of-two-choices among a hot key's replicas.
-    replica_routes: int = 0
-    #: Requests re-routed to another shard after their shard failed them.
-    rerouted: int = 0
-    #: Requests with a final response (served or failed, after reroutes).
-    completed: int = 0
-    #: Requests that failed on every shard the router was willing to try.
-    failed: int = 0
-    #: Graph (DAG) requests routed and served end to end.
-    graphs: int = 0
-    #: Device op stages executed inside graph requests, fleet-wide.
-    graph_stages: int = 0
-    #: Distinct fingerprints that ever crossed the hot threshold.
-    hot_keys: int = 0
-    #: Cached plans copied to replica shards (hot-key replication).
-    plans_replicated: int = 0
-    #: Cached plans moved between shards by membership changes.
-    plans_migrated: int = 0
-    shards_added: int = 0
-    shards_removed: int = 0
-    shards_killed: int = 0
+    #: Original submits plus reroutes after failure.
+    routed: int = counter("cluster_routed_total", "Routing decisions made")
+    #: Power-of-two-choices among a hot key's replicas.
+    replica_routes: int = counter("cluster_replica_routes_total",
+                                  "Routes resolved among hot-key replicas")
+    rerouted: int = counter("cluster_rerouted_total",
+                            "Requests re-routed after a shard-level failure")
+    #: Served or failed, after reroutes.
+    completed: int = counter("cluster_completed_total",
+                             "Requests with a final cluster-level response")
+    #: Every shard the router was willing to try failed the request.
+    failed: int = counter("cluster_failed_total", "Requests failed on every shard tried")
+    graphs: int = counter("cluster_graphs_total", "Graph (DAG) requests served end to end")
+    #: Fleet-wide.
+    graph_stages: int = counter("cluster_graph_stages_total",
+                                "Device op stages executed inside graph requests")
+    hot_keys: int = counter("cluster_hot_keys_total",
+                            "Distinct fingerprints that crossed the hot threshold")
+    #: Hot-key replication.
+    plans_replicated: int = counter("cluster_plans_replicated_total",
+                                    "Cached plans copied to replica shards")
+    plans_migrated: int = counter("cluster_plans_migrated_total",
+                                  "Cached plans moved by membership changes")
+    shards_added: int = counter("cluster_shards_added_total", "Shards added")
+    shards_removed: int = counter("cluster_shards_removed_total", "Shards removed gracefully")
+    shards_killed: int = counter("cluster_shards_killed_total", "Shards killed by chaos")
     #: Cached-key remigration fraction of the latest membership change.
     last_remigration_fraction: float = 0.0
     #: Registry this scoreboard publishes onto.
@@ -61,36 +70,7 @@ class ClusterMetrics:
                 self.registry, prefix="cluster_stage"
             )
         r = self.registry
-        for name, help_text, attr in (
-            ("cluster_routed_total", "Routing decisions made", "routed"),
-            ("cluster_replica_routes_total",
-             "Routes resolved among hot-key replicas", "replica_routes"),
-            ("cluster_rerouted_total",
-             "Requests re-routed after a shard-level failure", "rerouted"),
-            ("cluster_completed_total",
-             "Requests with a final cluster-level response", "completed"),
-            ("cluster_failed_total",
-             "Requests failed on every shard tried", "failed"),
-            ("cluster_graphs_total",
-             "Graph (DAG) requests served end to end", "graphs"),
-            ("cluster_graph_stages_total",
-             "Device op stages executed inside graph requests",
-             "graph_stages"),
-            ("cluster_hot_keys_total",
-             "Distinct fingerprints that crossed the hot threshold",
-             "hot_keys"),
-            ("cluster_plans_replicated_total",
-             "Cached plans copied to replica shards", "plans_replicated"),
-            ("cluster_plans_migrated_total",
-             "Cached plans moved by membership changes", "plans_migrated"),
-            ("cluster_shards_added_total", "Shards added", "shards_added"),
-            ("cluster_shards_removed_total",
-             "Shards removed gracefully", "shards_removed"),
-            ("cluster_shards_killed_total",
-             "Shards killed by chaos", "shards_killed"),
-        ):
-            r.counter(name, help_text,
-                      callback=lambda self=self, a=attr: getattr(self, a))
+        publish_counters(self, r)
         r.gauge("cluster_availability",
                 "Fraction of completed requests served",
                 callback=lambda self=self: self.availability)
@@ -108,20 +88,8 @@ class ClusterMetrics:
     def snapshot(self) -> dict:
         """Flat, JSON-friendly view of the cluster scoreboard."""
         return {
-            "routed": self.routed,
-            "replica_routes": self.replica_routes,
-            "rerouted": self.rerouted,
-            "completed": self.completed,
-            "failed": self.failed,
+            **counter_values(self),
             "availability": self.availability,
-            "graphs": self.graphs,
-            "graph_stages": self.graph_stages,
-            "hot_keys": self.hot_keys,
-            "plans_replicated": self.plans_replicated,
-            "plans_migrated": self.plans_migrated,
-            "shards_added": self.shards_added,
-            "shards_removed": self.shards_removed,
-            "shards_killed": self.shards_killed,
             "last_remigration_fraction": self.last_remigration_fraction,
             "attribution": self.attribution.snapshot(),
         }

@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.obs import AttributionCollector, MetricsRegistry
+from repro.obs import (
+    AttributionCollector,
+    MetricsRegistry,
+    counter,
+    counter_values,
+    publish_counters,
+)
 
 #: Percentiles reported by every latency summary.
 PERCENTILES = (50, 95, 99)
@@ -102,67 +108,76 @@ class LatencySeries:
 class ServerMetrics:
     """Scoreboard updated by :class:`repro.serve.server.SpMMServer`.
 
-    Every field is mirrored onto :attr:`registry` (a per-instance
+    Every counter field is mirrored onto :attr:`registry` (a per-instance
     :class:`~repro.obs.MetricsRegistry` by default; pass
     ``repro.obs.get_registry()`` to publish onto the process-wide one).
     """
 
-    requests: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    requests: int = counter("serve_requests_total", "Requests served")
+    cache_hits: int = counter("serve_cache_hits_total", "Plan-cache hits")
+    cache_misses: int = counter("serve_cache_misses_total", "Plan-cache misses")
     #: Requests served the CSR fallback plan by admission control.
-    degraded: int = 0
+    degraded: int = counter("serve_degraded_total", "Requests degraded to the CSR fallback")
     #: Requests whose composition overhead exceeded their deadline anyway.
-    deadline_misses: int = 0
-    #: Requests that exhausted every recovery path and were not served.
-    failed: int = 0
-    #: Extra execution attempts beyond each request's first.
-    retries: int = 0
-    #: Requests that failed at least one attempt but were ultimately served.
-    recovered: int = 0
-    #: Plans rebuilt as CSR after a structural OOM (graceful degradation).
-    oom_degraded: int = 0
-    #: Device-lost errors observed across the pool.
-    device_lost: int = 0
+    deadline_misses: int = counter("serve_deadline_misses_total", "Requests missing their deadline")
+    failed: int = counter("serve_failed_total",
+                          "Requests failing after exhausting retries and degradation")
+    retries: int = counter("serve_retries_total", "Execution attempts beyond each request's first")
+    recovered: int = counter("serve_recovered_total",
+                             "Requests served despite at least one failed attempt")
+    oom_degraded: int = counter("serve_oom_degraded_total",
+                                "Plans rebuilt as CSR after a structural OOM")
+    device_lost: int = counter("serve_device_lost_total",
+                               "Device-lost errors observed across the pool")
     #: Circuit-breaker trips (closed/half-open -> open) across the pool.
-    breaker_open: int = 0
-    #: Cache misses served the immediate CSR plan while a background
-    #: compose ran (speculative recompose).
-    speculative_misses: int = 0
-    #: Background composes swapped into the plan cache when ready.
-    speculative_swaps: int = 0
-    #: Background composes discarded instead of swapped (the key's entry
-    #: was pinned by a structural-OOM degrade, or the compose errored).
-    speculative_skipped: int = 0
-    #: Graph (DAG) requests served end to end.
-    graphs: int = 0
-    #: Device op stages (spmm/sddmm/spmv) executed inside graph requests.
-    graph_stages: int = 0
+    breaker_open: int = counter("serve_breaker_open_total",
+                                "Circuit-breaker trips across the device pool")
+    speculative_misses: int = counter(
+        "serve_speculative_misses_total",
+        "Misses served the immediate CSR plan during a speculative recompose window",
+    )
+    speculative_swaps: int = counter("serve_speculative_swaps_total",
+                                     "Background composes swapped into the plan cache")
+    speculative_skipped: int = counter(
+        "serve_speculative_skipped_total",
+        "Background composes discarded because their key is OOM-pinned",
+    )
+    #: Logged, never swapped in, and kept apart from the pin skips.
+    speculative_errors: int = counter("serve_speculative_errors_total",
+                                      "Background composes that raised")
+    #: Fed after every successful request (adaptive serving; docs/ADAPTIVE.md).
+    bandit_observations: int = counter("serve_bandit_observations_total",
+                                       "Successful requests fed to the format bandit as reward")
+    #: Post-handoff Thompson decisions.
+    bandit_overrides: int = counter(
+        "serve_bandit_overrides_total",
+        "Requests whose format the bandit chose over the static selector",
+    )
+    bandit_explorations: int = counter("serve_bandit_explorations_total",
+                                       "Pre-handoff random-arm explorations by the format bandit")
+    #: The bandit flipped a key to a different format arm than the cached plan's.
+    bandit_flips: int = counter("serve_bandit_flips_total",
+                                "Plan-cache entries re-pinned on a bandit format flip")
+    bandit_retrains: int = counter("serve_bandit_retrains_total",
+                                   "Static-selector refits on serving-derived samples")
+    graphs: int = counter("serve_graph_requests_total", "Graph (DAG) requests served")
+    #: Stages of op spmm, sddmm or spmv.
+    graph_stages: int = counter("serve_graph_stages_total",
+                                "Device op stages executed inside graph requests")
     #: Cache misses served by rebuilding a recorded composed geometry for
     #: a same-pattern matrix instead of re-running the pipeline.
-    plan_reuses: int = 0
-    #: Successful requests whose simulated latency was fed to the format
-    #: bandit as reward (adaptive serving; docs/ADAPTIVE.md).
-    bandit_observations: int = 0
-    #: Requests whose format was chosen by the bandit instead of the
-    #: static selector (post-handoff Thompson decisions).
-    bandit_overrides: int = 0
-    #: Pre-handoff decisions where the bandit played a random arm.
-    bandit_explorations: int = 0
-    #: Plan-cache entries re-pinned because the bandit flipped a key to a
-    #: different format arm than the cached plan's.
-    bandit_flips: int = 0
-    #: Periodic refits of the static format selector on serving-derived
-    #: training samples.
-    bandit_retrains: int = 0
-    #: Wall-clock seconds spent on those geometry rebuilds (the cheap
-    #: "re-value" path; compare against :attr:`compose_spent_s`).
-    revalue_s: float = 0.0
-    #: Wall-clock seconds spent composing (cache misses).
-    compose_spent_s: float = 0.0
-    #: Wall-clock seconds a compose-per-request server would have spent on
-    #: the hits (credited from each cached entry's recorded overhead).
-    compose_saved_s: float = 0.0
+    plan_reuses: int = counter("serve_graph_plan_reuses_total",
+                               "Misses served by rebuilding a recorded composed geometry")
+    #: The cheap "re-value" path; compare against :attr:`compose_spent_s`.
+    revalue_s: float = counter("serve_graph_revalue_seconds",
+                               "Wall-clock seconds spent rebuilding recorded geometries", 0.0)
+    #: Spent on cache misses.
+    compose_spent_s: float = counter("serve_compose_spent_seconds",
+                                     "Wall-clock seconds spent composing", 0.0)
+    #: What a compose-per-request server would have spent on the hits
+    #: (credited from each cached entry's recorded overhead).
+    compose_saved_s: float = counter("serve_compose_saved_seconds",
+                                     "Composition seconds saved by cache hits", 0.0)
     #: Simulated kernel execution time per request.
     exec_ms: LatencySeries = field(default_factory=LatencySeries)
     #: End-to-end request latency: composition overhead + simulated execution.
@@ -183,70 +198,7 @@ class ServerMetrics:
                 self.registry, prefix="serve_stage"
             )
         r = self.registry
-        for name, help_text, attr in (
-            ("serve_requests_total", "Requests served", "requests"),
-            ("serve_cache_hits_total", "Plan-cache hits", "cache_hits"),
-            ("serve_cache_misses_total", "Plan-cache misses", "cache_misses"),
-            ("serve_degraded_total", "Requests degraded to the CSR fallback",
-             "degraded"),
-            ("serve_deadline_misses_total", "Requests missing their deadline",
-             "deadline_misses"),
-            ("serve_failed_total",
-             "Requests failing after exhausting retries and degradation",
-             "failed"),
-            ("serve_retries_total",
-             "Execution attempts beyond each request's first", "retries"),
-            ("serve_recovered_total",
-             "Requests served despite at least one failed attempt",
-             "recovered"),
-            ("serve_oom_degraded_total",
-             "Plans rebuilt as CSR after a structural OOM", "oom_degraded"),
-            ("serve_device_lost_total",
-             "Device-lost errors observed across the pool", "device_lost"),
-            ("serve_breaker_open_total",
-             "Circuit-breaker trips across the device pool", "breaker_open"),
-            ("serve_speculative_misses_total",
-             "Misses served the immediate CSR plan during a speculative "
-             "recompose window", "speculative_misses"),
-            ("serve_speculative_swaps_total",
-             "Background composes swapped into the plan cache",
-             "speculative_swaps"),
-            ("serve_speculative_skipped_total",
-             "Background composes discarded (OOM-pinned key or compose "
-             "error)", "speculative_skipped"),
-            ("serve_graph_requests_total", "Graph (DAG) requests served",
-             "graphs"),
-            ("serve_graph_stages_total",
-             "Device op stages executed inside graph requests",
-             "graph_stages"),
-            ("serve_graph_plan_reuses_total",
-             "Misses served by rebuilding a recorded composed geometry",
-             "plan_reuses"),
-            ("serve_bandit_observations_total",
-             "Successful requests fed to the format bandit as reward",
-             "bandit_observations"),
-            ("serve_bandit_overrides_total",
-             "Requests whose format the bandit chose over the static "
-             "selector", "bandit_overrides"),
-            ("serve_bandit_explorations_total",
-             "Pre-handoff random-arm explorations by the format bandit",
-             "bandit_explorations"),
-            ("serve_bandit_flips_total",
-             "Plan-cache entries re-pinned on a bandit format flip",
-             "bandit_flips"),
-            ("serve_bandit_retrains_total",
-             "Static-selector refits on serving-derived samples",
-             "bandit_retrains"),
-            ("serve_graph_revalue_seconds",
-             "Wall-clock seconds spent rebuilding recorded geometries",
-             "revalue_s"),
-            ("serve_compose_spent_seconds", "Wall-clock seconds spent composing",
-             "compose_spent_s"),
-            ("serve_compose_saved_seconds",
-             "Composition seconds saved by cache hits", "compose_saved_s"),
-        ):
-            r.counter(name, help_text,
-                      callback=lambda self=self, a=attr: getattr(self, a))
+        publish_counters(self, r)
         r.gauge("serve_cache_hit_rate", "Plan-cache hit rate",
                 callback=lambda self=self: self.hit_rate)
         self._exec_hist = r.histogram(
@@ -292,33 +244,9 @@ class ServerMetrics:
     def snapshot(self) -> dict:
         """Flat, JSON-friendly view of the scoreboard."""
         return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
+            **counter_values(self),
             "hit_rate": self.hit_rate,
-            "degraded": self.degraded,
-            "deadline_misses": self.deadline_misses,
-            "failed": self.failed,
-            "retries": self.retries,
-            "recovered": self.recovered,
-            "oom_degraded": self.oom_degraded,
-            "device_lost": self.device_lost,
-            "breaker_open": self.breaker_open,
-            "speculative_misses": self.speculative_misses,
-            "speculative_swaps": self.speculative_swaps,
-            "speculative_skipped": self.speculative_skipped,
-            "bandit_observations": self.bandit_observations,
-            "bandit_overrides": self.bandit_overrides,
-            "bandit_explorations": self.bandit_explorations,
-            "bandit_flips": self.bandit_flips,
-            "bandit_retrains": self.bandit_retrains,
             "availability": self.availability,
-            "graphs": self.graphs,
-            "graph_stages": self.graph_stages,
-            "plan_reuses": self.plan_reuses,
-            "revalue_s": self.revalue_s,
-            "compose_spent_s": self.compose_spent_s,
-            "compose_saved_s": self.compose_saved_s,
             "exec_ms": self.exec_ms.summary(),
             "total_ms": self.total_ms.summary(),
             "failed_ms": self.failed_ms.summary(),
@@ -353,20 +281,13 @@ class ServerMetrics:
                 f"{self.plan_reuses} plan reuses, "
                 f"revalue {self.revalue_s * 1e3:.1f} ms)"
             )
-        if self.speculative_misses or self.speculative_swaps or self.speculative_skipped:
-            lines.append(
-                f"speculative         {self.speculative_misses} misses, "
-                f"{self.speculative_swaps} swaps, "
-                f"{self.speculative_skipped} skipped"
-            )
-        if self.bandit_observations:
-            lines.append(
-                f"bandit              {self.bandit_observations} observations, "
-                f"{self.bandit_overrides} overrides, "
-                f"{self.bandit_explorations} explorations, "
-                f"{self.bandit_flips} flips, "
-                f"{self.bandit_retrains} retrains"
-            )
+        counts = counter_values(self)
+        for family in ("speculative", "bandit"):
+            # A counter family reports on one line once any member moved.
+            members = {k[len(family) + 1:]: v for k, v in counts.items()
+                       if k.startswith(family + "_")}
+            if any(members.values()):
+                lines.append(f"{family:20s}" + ", ".join(f"{v} {k}" for k, v in members.items()))
         if self.failed:
             f = self.failed_ms.summary()
             lines.append(

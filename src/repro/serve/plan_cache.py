@@ -19,24 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.pipeline import ComposePlan
-from repro.serve.fingerprint import OP_KINDS
 
 #: Format tag checked on load, bumped on incompatible changes.  v2 keys
 #: carry an op segment (``<fp>/<op>/J<J>``); v1 keys were SpMM-only.
 CACHE_MAGIC = "repro-plancache-v2"
-
-#: The pre-op-key spill format.  Loading one is not an error: every v1
-#: plan was an SpMM plan, so its entries warm-start under the ``spmm``
-#: op segment instead of raising.
-_LEGACY_MAGIC = "repro-plancache-v1"
-
-
-def _migrate_v1_key(key: str) -> str:
-    """Rewrite a v1 ``<fp>/J<J>`` key as a v2 ``<fp>/spmm/J<J>`` key."""
-    head, _, width = key.rpartition("/J")
-    if not head or head.rsplit("/", 1)[-1] in OP_KINDS:
-        return key  # already op-keyed (or not a plan key at all)
-    return f"{head}/spmm/J{width}"
 
 #: Default budget: 256 MiB of resident format arrays.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -178,8 +164,7 @@ class PlanCache:
             payload = pickle.load(fh)
         if not isinstance(payload, dict) or "magic" not in payload:
             raise ValueError(f"{path} is not a saved plan-cache bundle")
-        legacy = payload["magic"] == _LEGACY_MAGIC
-        if payload["magic"] != CACHE_MAGIC and not legacy:
+        if payload["magic"] != CACHE_MAGIC:
             raise ValueError(
                 f"{path} has incompatible cache tag {payload['magic']!r} "
                 f"(expected {CACHE_MAGIC!r})"
@@ -192,8 +177,6 @@ class PlanCache:
             max_bytes = payload["max_bytes"]
         cache = cls(max_bytes=max_bytes)
         for key, plan, overhead_s in payload["entries"]:
-            if legacy:
-                key = _migrate_v1_key(key)
             cache.put(key, plan, compose_overhead_s=overhead_s)
         # Warm-starting is not traffic: reset *every* counter the loop
         # above may have bumped.  Loading into a smaller budget evicts or

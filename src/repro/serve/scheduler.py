@@ -42,10 +42,10 @@ from dataclasses import dataclass, field
 
 import scipy.sparse as sp
 
-from repro.obs import MetricsRegistry, get_tracer
+from repro.obs import MetricsRegistry, counter, counter_values, get_tracer, publish_counters
 from repro.serve.fingerprint import fingerprint_csr, plan_key
 from repro.serve.metrics import LatencySeries
-from repro.serve.server import SpMMRequest, SpMMResponse, SpMMServer
+from repro.serve.server import OpRequest, OpResponse, SpMMServer, member_trace_ids
 
 #: Bucket bounds of the batch-size histogram (powers of two — batches are
 #: capped by ``max_batch``, itself typically a power of two).
@@ -64,15 +64,15 @@ class SchedulerMetrics:
     """
 
     #: Requests handed to :meth:`Scheduler.submit`.
-    submitted: int = 0
-    #: Requests dispatched through the batcher (excludes shed requests).
-    dispatched: int = 0
-    #: Micro-batches launched (each one plan lookup + one fused launch).
-    batches: int = 0
-    #: Requests that shared their launch with at least one other request.
-    coalesced: int = 0
-    #: Arrivals shed to the degraded CSR path by backpressure.
-    shed: int = 0
+    submitted: int = counter("sched_submitted_total", "Requests submitted to the scheduler")
+    #: Excludes shed requests.
+    dispatched: int = counter("sched_dispatched_total", "Requests dispatched through batches")
+    #: Each one plan lookup + one fused launch.
+    batches: int = counter("sched_batches_total", "Micro-batches launched")
+    coalesced: int = counter("sched_coalesced_total",
+                             "Requests sharing a launch with at least one other")
+    #: Shed to the degraded CSR path.
+    shed: int = counter("sched_shed_total", "Arrivals shed by backpressure")
     #: Virtual milliseconds spent queued before dispatch, per request.
     queue_wait_ms: LatencySeries = field(default_factory=LatencySeries)
     #: Requests per launched micro-batch.
@@ -85,18 +85,7 @@ class SchedulerMetrics:
 
     def __post_init__(self) -> None:
         r = self.registry
-        for name, help_text, attr in (
-            ("sched_submitted_total", "Requests submitted to the scheduler",
-             "submitted"),
-            ("sched_dispatched_total", "Requests dispatched through batches",
-             "dispatched"),
-            ("sched_batches_total", "Micro-batches launched", "batches"),
-            ("sched_coalesced_total",
-             "Requests sharing a launch with at least one other", "coalesced"),
-            ("sched_shed_total", "Arrivals shed by backpressure", "shed"),
-        ):
-            r.counter(name, help_text,
-                      callback=lambda self=self, a=attr: getattr(self, a))
+        publish_counters(self, r)
         r.gauge("sched_coalesce_rate",
                 "Fraction of dispatched requests that shared a launch",
                 callback=lambda self=self: self.coalesce_rate)
@@ -143,13 +132,9 @@ class SchedulerMetrics:
     def snapshot(self) -> dict:
         """Flat, JSON-friendly view of the scheduler scoreboard."""
         return {
-            "submitted": self.submitted,
-            "dispatched": self.dispatched,
-            "batches": self.batches,
-            "coalesced": self.coalesced,
+            **counter_values(self),
             "coalesce_rate": self.coalesce_rate,
             "mean_batch_size": self.mean_batch_size,
-            "shed": self.shed,
             "makespan_ms": self.makespan_ms,
             "throughput_rps": self.throughput_rps,
             "queue_wait_ms": self.queue_wait_ms.summary(),
@@ -179,7 +164,7 @@ class _QueuedRequest:
     admission so dispatch never re-fingerprints."""
 
     ticket: int
-    request: SpMMRequest
+    request: OpRequest
     A: sp.csr_matrix
     key: str
     #: Virtual timestamp the request entered the queue.
@@ -304,13 +289,13 @@ class Scheduler:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         self._batcher = Batcher(self.max_batch, self.max_wait_ms)
         self._next_ticket = 0
-        self._submitted: list[tuple[int, SpMMRequest]] = []
-        self._completed: dict[int, SpMMResponse] = {}
+        self._submitted: list[tuple[int, OpRequest]] = []
+        self._completed: dict[int, OpResponse] = {}
         #: Virtual time at which each server device finishes its queue.
         self._free_at_ms = [0.0] * len(self.server.devices)
 
     # ------------------------------------------------------------------
-    def submit(self, request: SpMMRequest) -> int:
+    def submit(self, request: OpRequest) -> int:
         """Enqueue a request for the next :meth:`drain`; returns a ticket."""
         ticket = self._next_ticket
         self._next_ticket += 1
@@ -318,20 +303,20 @@ class Scheduler:
         self.metrics.submitted += 1
         return ticket
 
-    def poll(self, ticket: int) -> SpMMResponse | None:
+    def poll(self, ticket: int) -> OpResponse | None:
         """Claim one completed response; None until a :meth:`drain` has
         processed the ticket (the event loop needs the whole arrival
         stream to batch correctly, so poll never runs it early)."""
         return self._completed.pop(ticket, None)
 
-    def drain(self) -> list[SpMMResponse]:
+    def drain(self) -> list[OpResponse]:
         """Replay every submitted request through the event loop; returns
         all unclaimed responses in submission order."""
         self._run()
         out = [self._completed.pop(t) for t in sorted(self._completed)]
         return out
 
-    def replay(self, requests: list[SpMMRequest]) -> SchedulerMetrics:
+    def replay(self, requests: list[OpRequest]) -> SchedulerMetrics:
         """Open-loop one-call run: submit the trace, drain it, return the
         scheduler scoreboard (server-side counters stay on
         ``scheduler.server.metrics``)."""
@@ -394,7 +379,7 @@ class Scheduler:
             [self.metrics.makespan_ms, *self._free_at_ms]
         )
 
-    def _admit(self, ticket: int, request: SpMMRequest, now: float) -> None:
+    def _admit(self, ticket: int, request: OpRequest, now: float) -> None:
         at = max(now, request.arrival_ms)
         if self.max_queue is not None and len(self._batcher) >= self.max_queue:
             # Backpressure: the queue is full.  Shedding serves the
@@ -419,20 +404,16 @@ class Scheduler:
 
     def _dispatch(self, group: list[_QueuedRequest], now: float) -> None:
         waits = [now - item.enqueued_ms for item in group]
-        member_ids = [
-            item.request.ctx.trace_id
-            for item in group
-            if item.request.ctx is not None
-        ]
+        requests = [item.request for item in group]
         with get_tracer().span(
             "queue_wait",
             size=len(group),
             key=group[0].key,
             max_wait_ms=round(max(waits), 4),
-            **({"trace_ids": ",".join(member_ids)} if member_ids else {}),
+            **member_trace_ids(requests),
         ):
             responses = self.server.serve_batch(
-                [item.request for item in group],
+                requests,
                 queue_waits_ms=waits,
                 prepared=[(item.A, item.key) for item in group],
             )
@@ -441,7 +422,7 @@ class Scheduler:
         for item, response in zip(group, responses):
             self._completed[item.ticket] = response
 
-    def _occupy(self, response: SpMMResponse, start_ms: float) -> None:
+    def _occupy(self, response: OpResponse, start_ms: float) -> None:
         """Charge a launch's simulated cost to its device's worker queue."""
         cost_ms = response.backoff_ms
         if response.measurement is not None:

@@ -25,7 +25,9 @@ open-loop queueing and fingerprint-coalesced micro-batching on top.
 single fused launch: the dense operands are stacked column-wise into one
 ``(K, n*J)`` operand, executed once, and split back per request.  Column
 ``j`` of the result depends only on column ``j`` of the operand, so the
-per-request slices are bit-identical to individually served results.
+per-request slices are bit-identical to individually served results.  A
+single request is the same path with a group of one: both go through
+``SpMMServer._serve_group``, the one place a response is built.
 
 Deadlines bound the *composition overhead* (time until the kernel can be
 launched), not the simulated kernel time — execution cost is intrinsic
@@ -39,6 +41,7 @@ budget left.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -61,10 +64,12 @@ from repro.kernels.registry import kernel_for_op
 from repro.kernels.sddmm import CSRSDDMM
 from repro.obs import TraceContext, get_tracer
 from repro.serve.adaptive import FormatBandit, build_arm_plan, plan_arm
-from repro.serve.fingerprint import OP_KINDS, fingerprint_csr, plan_key, plan_op
+from repro.serve.fingerprint import fingerprint_csr, plan_key, plan_op
 from repro.serve.metrics import ServerMetrics
 from repro.serve.plan_cache import PlanCache
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
+
+_log = logging.getLogger(__name__)
 
 #: Most recent same-pattern composed geometries remembered per server for
 #: the structural-reuse ("re-value") rebuild path.
@@ -79,8 +84,9 @@ class ResponseStatus(str, Enum):
       control, backpressure shedding, or structural-OOM degradation);
     * ``FAILED`` — every recovery path exhausted, no result.
 
-    The legacy boolean views (``response.failed``, ``response.degraded``)
-    remain available as read-only properties derived from this enum.
+    ``response.ok`` and ``response.failed`` view this enum; the
+    ``admission_degraded``, ``speculative`` and ``degraded_oom`` fields
+    say which fallback produced a ``DEGRADED`` response.
     """
 
     OK = "ok"
@@ -104,9 +110,6 @@ class OpRequest:
     ``arrival_ms`` is the request's position on the workload's virtual
     timeline (0.0 for legacy closed-loop traces); the open-loop scheduler
     replays arrivals at these timestamps.
-
-    ``SpMMRequest`` is the historical name and remains a module-level
-    alias — existing SpMM-only callers construct it unchanged.
     """
 
     matrix: sp.spmatrix
@@ -134,7 +137,6 @@ class OpRequest:
 class OpResponse:
     """Outcome of one served request.
 
-    ``SpMMResponse`` remains a module-level alias of this class.
     ``C`` is dense for spmm/spmv and a CSR matrix for sddmm.
     """
 
@@ -194,17 +196,36 @@ class OpResponse:
         """Back-compat view of :attr:`status`."""
         return self.status is ResponseStatus.FAILED
 
-    @property
-    def degraded(self) -> bool:
-        """Back-compat view: admission control took the fallback path."""
-        return self.admission_degraded
+
+class _PlanPath(Enum):
+    """Which branch of :meth:`SpMMServer._prepare_plan` produced a plan."""
+
+    HIT = "hit"
+    #: Miss served by the format bandit's chosen arm.
+    BANDIT = "bandit"
+    #: Miss served by refilling a recorded same-pattern geometry.
+    REVALUE = "revalue"
+    #: Miss served the CSR plan while a background compose runs.
+    SPECULATIVE = "speculative"
+    #: Admission control (or shedding) served the uncached CSR plan.
+    DEGRADED = "degraded"
+    COMPOSED = "composed"
 
 
-#: Back-compat aliases: the serving API was SpMM-only before the op
-#: generalization.  Kept as plain aliases (not subclasses) so isinstance
-#: checks and dataclass identity are unaffected; see docs/API.md.
-SpMMRequest = OpRequest
-SpMMResponse = OpResponse
+@dataclass(frozen=True)
+class _Prepared:
+    """A plan ready to execute and the path that produced it."""
+
+    plan: ComposePlan
+    path: _PlanPath
+
+
+def member_trace_ids(requests: list[OpRequest]) -> dict:
+    """``{"trace_ids": "id,id,..."}`` for a span covering many requests —
+    a fused launch serves many trace ids at once, so any member's trace
+    finds the span — or ``{}`` when none is traced."""
+    ids = ",".join(r.ctx.trace_id for r in requests if r.ctx is not None)
+    return {"trace_ids": ids} if ids else {}
 
 
 @dataclass
@@ -274,8 +295,8 @@ class SpMMServer:
         #: EWMA of compose seconds per non-zero, None until the first compose.
         self._compose_s_per_nnz: float | None = None
         self._next_ticket = 0
-        self._pending: deque[tuple[int, SpMMRequest]] = deque()
-        self._completed: dict[int, SpMMResponse] = {}
+        self._pending: deque[tuple[int, OpRequest]] = deque()
+        self._completed: dict[int, OpResponse] = {}
         #: key -> (background compose future, matrix nnz, canonical CSR).
         self._inflight: dict[str, tuple[Future, int, sp.csr_matrix]] = {}
         #: pattern digest -> recorded composed geometry (the structural-
@@ -583,7 +604,8 @@ class SpMMServer:
         thread) serializes them against the structural-OOM degrade pin:
         a key whose entry was pinned to its CSR fallback after a
         structural OOM never gets the doomed CELL plan swapped back in
-        (counted as ``speculative_skipped``).  Returns swaps applied.
+        (counted as ``speculative_skipped``); a compose that raised is
+        logged and counted as ``speculative_errors``.  Returns swaps applied.
         """
         if not self._inflight:
             return 0
@@ -595,7 +617,10 @@ class SpMMServer:
             try:
                 plan = future.result()
             except Exception:
-                m.speculative_skipped += 1
+                # A compose bug, not a pin: count and log it apart from
+                # the skips so it cannot hide among them.
+                _log.exception("speculative compose for %s raised", key)
+                m.speculative_errors += 1
                 continue
             if key in self._oom_pinned:
                 with tracer.span("speculative_swap", key=key, skipped=True):
@@ -683,17 +708,14 @@ class SpMMServer:
         self,
         A: sp.csr_matrix,
         key: str,
-        t0: float,
         effective_deadline_ms: float | None,
         force_degrade: bool,
         reuse_structure: bool = False,
-    ) -> tuple[ComposePlan, bool, bool, bool, float]:
-        """Cache lookup → admission → compose-or-fallback, shared by the
-        single-request and batched paths.
+    ) -> _Prepared:
+        """Cache lookup → admission → compose-or-fallback for one plan key.
 
-        Returns ``(plan, cache_hit, admission_degraded, speculative,
-        overhead_s)``.  ``effective_deadline_ms`` is the request's (or
-        batch's tightest) deadline with queueing delay already subtracted;
+        ``effective_deadline_ms`` is the request's (or group's tightest)
+        deadline with queueing delay already subtracted;
         ``force_degrade`` (backpressure shedding) skips the pipeline on a
         miss outright.  With :attr:`speculative` enabled, a miss returns
         the CSR fallback immediately and composes in the background
@@ -713,8 +735,7 @@ class SpMMServer:
         if entry is not None:
             m.cache_hits += 1
             m.compose_saved_s += entry.compose_overhead_s
-            plan = self._bandit_decide(A, key, entry.plan, op)
-            return plan, True, False, False, time.perf_counter() - t0
+            return _Prepared(self._bandit_decide(A, key, entry.plan, op), _PlanPath.HIT)
 
         m.cache_misses += 1
         if (
@@ -730,7 +751,7 @@ class SpMMServer:
             if arm is not None:
                 plan = self._arm_plan(A, key, arm, op)
                 self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-                return plan, False, False, False, time.perf_counter() - t0
+                return _Prepared(plan, _PlanPath.BANDIT)
         if reuse_structure and not force_degrade:
             rec = self._structures.get(
                 fingerprint_csr(A, include_values=False).digest
@@ -741,7 +762,7 @@ class SpMMServer:
                 m.plan_reuses += 1
                 m.revalue_s += plan.overhead.total_s
                 self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-                return plan, False, False, False, time.perf_counter() - t0
+                return _Prepared(plan, _PlanPath.REVALUE)
         if self.speculative and not force_degrade:
             pinned = key in self._oom_pinned
             with tracer.span("speculative_build", nnz=A.nnz, pinned=pinned):
@@ -753,7 +774,7 @@ class SpMMServer:
                 self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
             else:
                 self._speculate(A, key)
-            return plan, False, False, True, time.perf_counter() - t0
+            return _Prepared(plan, _PlanPath.SPECULATIVE)
         with tracer.span("admission") as adm_span:
             estimate = self.estimate_compose_s(A.nnz)
             degraded = force_degrade or (
@@ -772,7 +793,7 @@ class SpMMServer:
             # degraded plans are intentionally NOT cached: a later
             # best-effort request for the same matrix should get the
             # full pipeline, not a pinned fallback.
-            return plan, False, True, False, time.perf_counter() - t0
+            return _Prepared(plan, _PlanPath.DEGRADED)
         with tracer.span("compose", nnz=A.nnz, op=op):
             plan = self.liteform.compose_csr(A, max(1, self._plan_J(key)))
         self._observe_compose(A.nnz, plan.overhead.total_s)
@@ -783,7 +804,7 @@ class SpMMServer:
             self._record_structure(A, plan)
         plan = self._bind_op(plan, A, op)
         self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-        return plan, False, False, False, time.perf_counter() - t0
+        return _Prepared(plan, _PlanPath.COMPOSED)
 
     @staticmethod
     def _plan_J(key: str) -> int:
@@ -793,70 +814,95 @@ class SpMMServer:
     # ------------------------------------------------------------------
     def _serve_one(
         self,
-        request: SpMMRequest,
+        request: OpRequest,
         *,
         queue_wait_ms: float = 0.0,
         force_degrade: bool = False,
         shed: bool = False,
         A: sp.csr_matrix | None = None,
         key: str | None = None,
-    ) -> SpMMResponse:
-        """Serve one request; every path updates :attr:`metrics`.
+    ) -> OpResponse:
+        """Serve one request: :meth:`_serve_group` with a group of one."""
+        return self._serve_group(
+            [request], [queue_wait_ms], A, key, force_degrade=force_degrade, shed=shed
+        )[0]
 
-        With a tracer installed (:func:`repro.obs.get_tracer`), each
-        request emits a ``request`` span with children ``cache_lookup``,
-        ``admission`` / ``degraded_build`` / ``compose`` (the compose span
-        nests the pipeline's per-stage spans), and ``execute`` (which
-        nests the simulated ``kernel_launch`` spans).
+    def _serve_group(
+        self,
+        requests: list[OpRequest],
+        waits: list[float],
+        A: sp.csr_matrix | None,
+        key: str | None,
+        force_degrade: bool = False,
+        shed: bool = False,
+    ) -> list[OpResponse]:
+        """The one request path: one plan lookup and one launch for
+        ``requests``, which share the plan key ``key``; every path updates
+        :attr:`metrics`.
+
+        A group of one canonicalizes and fingerprints when ``A``/``key``
+        are not supplied and executes its operand as given (an SDDMM
+        ``(U, V)`` pair included).  With a tracer installed
+        (:func:`repro.obs.get_tracer`) it emits a ``request`` span with
+        children ``cache_lookup``, ``admission`` / ``degraded_build`` /
+        ``compose`` (which nests the pipeline's per-stage spans) and
+        ``execute`` (which nests the simulated ``kernel_launch`` spans).
+        A larger group is a fused SpMM launch under one ``batch`` span:
+        the operands are stacked column-wise into one ``(K, n*J)``
+        operand and the result is split back per member.  ``waits`` are
+        the members' queueing delays; admission uses the tightest
+        effective deadline.
         """
         m = self.metrics
-        m.requests += 1
         tracer = get_tracer()
-        ctx = request.ctx
-        if ctx is None and tracer.enabled:
-            # Standalone server = its own ingress point: mint here so the
-            # whole request subtree (compose, kernel launches) is linked.
-            ctx = TraceContext.mint("req")
-        trace_id = ctx.trace_id if ctx is not None else None
-        with tracer.span(
-            "request",
-            ctx=ctx,
-            J=request.J,
-            op=request.op,
-            matrix=request.name or "anonymous",
-        ) as req_span:
-            t0 = time.perf_counter()
-            with tracer.span("cache_lookup"):
-                if A is None:
-                    A = self._canonical(request.matrix)
-                if key is None:
-                    key = plan_key(fingerprint_csr(A), request.J, request.op)
-
-            effective_deadline = (
-                None
-                if request.deadline_ms is None
-                else request.deadline_ms - queue_wait_ms
+        n, first, J = len(requests), requests[0], requests[0].J
+        m.requests += n
+        if n == 1:
+            ctx = first.ctx
+            if ctx is None and tracer.enabled:
+                # Standalone server = its own ingress point: mint here so the
+                # whole request subtree (compose, kernel launches) is linked.
+                ctx = TraceContext.mint("req")
+            trace_ids = [ctx.trace_id if ctx is not None else None]
+            group_span = tracer.span(
+                "request", ctx=ctx, J=J, op=first.op, matrix=first.name or "anonymous"
             )
-            reuses_before = m.plan_reuses
-            plan, cache_hit, degraded, speculative, overhead_s = self._prepare_plan(
+        else:
+            trace_ids = [r.ctx.trace_id if r.ctx is not None else None for r in requests]
+            group_span = tracer.span("batch", size=n, J=J, key=key, **member_trace_ids(requests))
+        with group_span as span:
+            t0 = time.perf_counter()
+            if n == 1:
+                with tracer.span("cache_lookup"):
+                    if A is None:
+                        A = self._canonical(first.matrix)
+                    if key is None:
+                        key = plan_key(fingerprint_csr(A), J, first.op)
+            deadlines = [
+                r.deadline_ms - w for r, w in zip(requests, waits) if r.deadline_ms is not None
+            ]
+            prepared = self._prepare_plan(
                 A,
                 key,
-                t0,
-                effective_deadline,
+                min(deadlines) if deadlines else None,
                 force_degrade,
-                reuse_structure=request.reuse_structure,
+                reuse_structure=any(r.reuse_structure for r in requests),
             )
-            plan_reused = m.plan_reuses > reuses_before
+            overhead_s = time.perf_counter() - t0
+            cache_hit = prepared.path is _PlanPath.HIT
+            degraded = prepared.path is _PlanPath.DEGRADED
+            speculative = prepared.path is _PlanPath.SPECULATIVE
             if degraded:
-                m.degraded += 1
+                m.degraded += n
             if speculative:
-                m.speculative_misses += 1
+                m.speculative_misses += n
 
-            operand = request.operands if request.op == "sddmm" else request.B
-            outcome = self._execute(A, plan, operand, request.J, op=request.op)
-            plan = outcome["plan"]
-            measurement = outcome["measurement"]
-            failed = outcome["failed"]
+            if n == 1:
+                operand = first.operands if first.op == "sddmm" else first.B
+            else:
+                operand = np.hstack([r.B for r in requests]) if first.B is not None else None
+            outcome = self._execute(A, prepared.plan, operand, n * J, op=first.op)
+            plan, measurement, failed = outcome["plan"], outcome["measurement"], outcome["failed"]
             if outcome["degraded_oom"] and not failed:
                 # Pin the degraded CSR plan under this key: later requests
                 # for the same (matrix, J) must not re-pay the structural
@@ -865,75 +911,83 @@ class SpMMServer:
                 self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
                 self._oom_pinned.add(key)
             exec_ms = measurement.time_ms if measurement is not None else 0.0
-
             overhead_ms = overhead_s * 1e3
-            deadline_missed = (
-                request.deadline_ms is not None
-                and overhead_ms + queue_wait_ms > request.deadline_ms
-            )
-            if deadline_missed:
-                m.deadline_misses += 1
-            latency_ms = queue_wait_ms + overhead_ms + outcome["backoff_ms"] + exec_ms
-            if failed:
-                # Failed requests never enter the success latency series —
-                # a 0 ms "latency" would drag p50/p95 down (they are tracked
-                # separately, with the retry cost they actually paid).
-                m.failed += 1
-                m.observe_failed_latency(latency_ms)
-            else:
-                if outcome["recovered"]:
-                    m.recovered += 1
-                m.observe_latency(exec_ms, latency_ms)
-                self._bandit_observe(A, key, plan, exec_ms)
             if failed:
                 status = ResponseStatus.FAILED
-            elif degraded or outcome["degraded_oom"] or speculative:
-                status = ResponseStatus.DEGRADED
             else:
-                status = ResponseStatus.OK
-            req_span.set(
-                cache_hit=cache_hit,
-                status=status.value,
-                speculative=speculative,
-                deadline_missed=deadline_missed,
-                sim_exec_ms=exec_ms,
-            )
-            m.attribution.record(
-                trace_id,
-                {
-                    "queue_wait": queue_wait_ms,
-                    "compose": overhead_ms,
-                    "launch": exec_ms,
-                    "retry_backoff": outcome["backoff_ms"],
-                },
-                total_ms=latency_ms,
-            )
-        return SpMMResponse(
-            C=outcome["C"],
-            measurement=measurement,
-            plan=plan,
-            key=key,
-            cache_hit=cache_hit,
-            status=status,
-            admission_degraded=degraded,
-            deadline_missed=deadline_missed,
-            device_index=outcome["slot_index"],
-            compose_overhead_s=overhead_s,
-            latency_ms=latency_ms,
-            attempts=outcome["attempts"],
-            recovered=outcome["recovered"],
-            backoff_ms=outcome["backoff_ms"],
-            degraded_oom=outcome["degraded_oom"],
-            queue_wait_ms=queue_wait_ms,
-            shed=shed,
-            speculative=speculative,
-            trace_id=trace_id,
-            op=request.op,
-            plan_reused=plan_reused,
-        )
+                # One reward per launch (the per-request share), not per
+                # member: the bandit's unit of evidence is a launch.
+                self._bandit_observe(A, key, plan, exec_ms / n)
+                fallback = degraded or outcome["degraded_oom"] or speculative
+                status = ResponseStatus.DEGRADED if fallback else ResponseStatus.OK
+
+            responses = []
+            for i, (request, wait, trace_id) in enumerate(zip(requests, waits, trace_ids)):
+                deadline_missed = (
+                    request.deadline_ms is not None and overhead_ms + wait > request.deadline_ms
+                )
+                if deadline_missed:
+                    m.deadline_misses += 1
+                latency_ms = wait + overhead_ms + outcome["backoff_ms"] + exec_ms
+                if failed:
+                    # Failed requests never enter the success latency series —
+                    # a 0 ms "latency" would drag p50/p95 down (they are tracked
+                    # separately, with the retry cost they actually paid).
+                    m.failed += 1
+                    m.observe_failed_latency(latency_ms)
+                else:
+                    if outcome["recovered"]:
+                        m.recovered += 1
+                    m.observe_latency(exec_ms, latency_ms)
+                m.attribution.record(
+                    trace_id,
+                    {
+                        "queue_wait": wait,
+                        "compose": overhead_ms,
+                        "launch": exec_ms,
+                        "retry_backoff": outcome["backoff_ms"],
+                    },
+                    total_ms=latency_ms,
+                )
+                C = outcome["C"]
+                if n > 1 and C is not None:
+                    C = np.ascontiguousarray(C[:, i * J : (i + 1) * J])
+                responses.append(
+                    OpResponse(
+                        C=C,
+                        measurement=measurement,
+                        plan=plan,
+                        key=key,
+                        cache_hit=cache_hit,
+                        status=status,
+                        admission_degraded=degraded,
+                        deadline_missed=deadline_missed,
+                        device_index=outcome["slot_index"],
+                        compose_overhead_s=overhead_s,
+                        latency_ms=latency_ms,
+                        attempts=outcome["attempts"],
+                        recovered=outcome["recovered"],
+                        backoff_ms=outcome["backoff_ms"],
+                        degraded_oom=outcome["degraded_oom"],
+                        batch_size=n,
+                        queue_wait_ms=wait,
+                        shed=shed,
+                        speculative=speculative,
+                        trace_id=trace_id,
+                        op=request.op,
+                        plan_reused=prepared.path is _PlanPath.REVALUE,
+                    )
+                )
+            if n == 1:
+                span.set(cache_hit=cache_hit, status=status.value, speculative=speculative,
+                         deadline_missed=deadline_missed, sim_exec_ms=exec_ms)
+            else:
+                span.set(cache_hit=cache_hit, degraded=degraded, failed=failed,
+                         sim_exec_ms=exec_ms)
+        return responses
 
     # -- async-style surface -------------------------------------------
-    def submit(self, request: SpMMRequest) -> int:
+    def submit(self, request: OpRequest) -> int:
         """Enqueue a request; returns a ticket for :meth:`poll`.
 
         The in-process server is lazy-synchronous: the work happens at
@@ -949,20 +1003,20 @@ class SpMMServer:
             ticket, request = self._pending.popleft()
             self._completed[ticket] = self._serve_one(request)
 
-    def poll(self, ticket: int) -> SpMMResponse | None:
+    def poll(self, ticket: int) -> OpResponse | None:
         """Claim one completed response (processing anything pending
         first); None if the ticket is unknown or already claimed."""
         self._process_pending()
         return self._completed.pop(ticket, None)
 
-    def drain(self) -> list[SpMMResponse]:
+    def drain(self) -> list[OpResponse]:
         """Serve everything pending; returns all unclaimed responses in
         submission order (each response is delivered exactly once)."""
         self._process_pending()
         out = [self._completed.pop(t) for t in sorted(self._completed)]
         return out
 
-    def serve(self, request: SpMMRequest) -> SpMMResponse:
+    def serve(self, request: OpRequest) -> OpResponse:
         """Serve one request now — thin wrapper over submit/poll."""
         ticket = self.submit(request)
         response = self.poll(ticket)
@@ -972,11 +1026,11 @@ class SpMMServer:
     # -- coalesced micro-batches ---------------------------------------
     def serve_batch(
         self,
-        requests: list[SpMMRequest],
+        requests: list[OpRequest],
         *,
         queue_waits_ms: list[float] | None = None,
         prepared: list[tuple[sp.csr_matrix, str]] | None = None,
-    ) -> list[SpMMResponse]:
+    ) -> list[OpResponse]:
         """Serve requests sharing one ``(fingerprint, J)`` key as a single
         fused launch.
 
@@ -1019,12 +1073,6 @@ class SpMMServer:
                 "serve_batch cannot mix numeric and measure-only requests"
             )
         A, key = prepared[0]
-        if n == 1:
-            return [
-                self._serve_one(
-                    requests[0], queue_wait_ms=waits[0], A=A, key=key
-                )
-            ]
         if plan_op(key) != "spmm":
             # SDDMM operand pairs and SpMV columns have no column-stacked
             # fused-launch equivalence; group members still share the one
@@ -1033,127 +1081,9 @@ class SpMMServer:
                 self._serve_one(r, queue_wait_ms=w, A=a, key=k)
                 for r, w, (a, k) in zip(requests, waits, prepared)
             ]
+        return self._serve_group(requests, waits, A, key)
 
-        m = self.metrics
-        J = requests[0].J
-        m.requests += n
-        tracer = get_tracer()
-        member_ids = [r.ctx.trace_id for r in requests if r.ctx is not None]
-        with tracer.span("batch", size=n, J=J, key=key) as batch_span:
-            if member_ids:
-                # A fused launch serves many trace ids at once; list them
-                # on the batch span so any member's trace finds it.
-                batch_span.set(trace_ids=",".join(member_ids))
-            t0 = time.perf_counter()
-            deadlines = [
-                r.deadline_ms - w
-                for r, w in zip(requests, waits)
-                if r.deadline_ms is not None
-            ]
-            effective_deadline = min(deadlines) if deadlines else None
-            reuses_before = m.plan_reuses
-            plan, cache_hit, degraded, speculative, overhead_s = self._prepare_plan(
-                A,
-                key,
-                t0,
-                effective_deadline,
-                False,
-                reuse_structure=any(r.reuse_structure for r in requests),
-            )
-            plan_reused = m.plan_reuses > reuses_before
-            if degraded:
-                m.degraded += n
-            if speculative:
-                m.speculative_misses += n
-
-            if all(numeric):
-                B = np.hstack([r.B for r in requests])
-            else:
-                B = None
-            outcome = self._execute(A, plan, B, n * J)
-            plan = outcome["plan"]
-            measurement = outcome["measurement"]
-            failed = outcome["failed"]
-            if outcome["degraded_oom"] and not failed:
-                self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-                self._oom_pinned.add(key)
-            exec_ms = measurement.time_ms if measurement is not None else 0.0
-            overhead_ms = overhead_s * 1e3
-            if not failed:
-                # One reward per fused launch (the per-request share), not
-                # per member: the bandit's unit of evidence is a launch.
-                self._bandit_observe(A, key, plan, exec_ms / n)
-            batch_span.set(
-                cache_hit=cache_hit,
-                degraded=degraded,
-                failed=failed,
-                sim_exec_ms=exec_ms,
-            )
-
-        C_all = outcome["C"]
-        responses = []
-        for i, (request, wait) in enumerate(zip(requests, waits)):
-            C_i = None
-            if C_all is not None:
-                C_i = np.ascontiguousarray(C_all[:, i * J : (i + 1) * J])
-            deadline_missed = (
-                request.deadline_ms is not None
-                and overhead_ms + wait > request.deadline_ms
-            )
-            if deadline_missed:
-                m.deadline_misses += 1
-            latency_ms = wait + overhead_ms + outcome["backoff_ms"] + exec_ms
-            if failed:
-                m.failed += 1
-                m.observe_failed_latency(latency_ms)
-                status = ResponseStatus.FAILED
-            else:
-                if outcome["recovered"]:
-                    m.recovered += 1
-                m.observe_latency(exec_ms, latency_ms)
-                status = (
-                    ResponseStatus.DEGRADED
-                    if degraded or outcome["degraded_oom"] or speculative
-                    else ResponseStatus.OK
-                )
-            trace_id = request.ctx.trace_id if request.ctx is not None else None
-            m.attribution.record(
-                trace_id,
-                {
-                    "queue_wait": wait,
-                    "compose": overhead_ms,
-                    "launch": exec_ms,
-                    "retry_backoff": outcome["backoff_ms"],
-                },
-                total_ms=latency_ms,
-            )
-            responses.append(
-                SpMMResponse(
-                    C=C_i,
-                    measurement=measurement,
-                    plan=plan,
-                    key=key,
-                    cache_hit=cache_hit,
-                    status=status,
-                    admission_degraded=degraded,
-                    deadline_missed=deadline_missed,
-                    device_index=outcome["slot_index"],
-                    compose_overhead_s=overhead_s,
-                    latency_ms=latency_ms,
-                    attempts=outcome["attempts"],
-                    recovered=outcome["recovered"],
-                    backoff_ms=outcome["backoff_ms"],
-                    degraded_oom=outcome["degraded_oom"],
-                    batch_size=n,
-                    queue_wait_ms=wait,
-                    speculative=speculative,
-                    trace_id=trace_id,
-                    plan_reused=plan_reused,
-                )
-            )
-        return responses
-
-    def replay(self, requests: list[SpMMRequest]) -> ServerMetrics:
+    def replay(self, requests: list[OpRequest]) -> ServerMetrics:
         """Serve a whole workload in order and return the scoreboard.
 
         The whole replay runs under one root ``replay`` span so a traced

@@ -20,8 +20,8 @@ from repro.serve import (
     ClusterFrontend,
     FormatBandit,
     FormatDriftDevice,
+    OpRequest,
     PlanCache,
-    SpMMRequest,
     SpMMServer,
     WorkloadSpec,
     fingerprint_csr,
@@ -207,7 +207,7 @@ class TestServerIntegration:
         """When the bandit's decision differs from the cached plan's arm,
         the cache entry is replaced with the new arm's plan."""
         A = power_law_graph(600, 6, seed=3)
-        req = SpMMRequest(matrix=A, B=None, J=32)
+        req = OpRequest(matrix=A, B=None, J=32)
         key = plan_key(fingerprint_csr(A), 32)
         device = FormatDriftDevice(slowdown=8.0)
         server = _server(

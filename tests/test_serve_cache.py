@@ -112,28 +112,26 @@ class TestSpill:
             PlanCache.load(path)
         assert CACHE_MAGIC != "repro-plancache-v0"
 
-    def test_load_migrates_v1_spill_to_op_keys(self, tmp_path, plans):
-        """A pre-op-key (v1) spill warm-starts under ``(fingerprint,
-        "spmm")`` keys instead of raising."""
-        cache = PlanCache(max_bytes=1 << 30)
-        for i, (k, p) in enumerate(plans.items()):
-            cache.put(f"fp-{k}/J{32 + i}", p, compose_overhead_s=0.3)
-        path = tmp_path / "v1.pkl"
-        cache.save(path)
-        # rewrite the bundle as a v1 spill: old magic, pre-op keys
+    @staticmethod
+    def _as_v1_bundle(path):
+        """Rewrite a saved bundle's tag as the pre-op-key v1 format."""
         with path.open("rb") as fh:
             payload = pickle.load(fh)
         payload["magic"] = "repro-plancache-v1"
         with path.open("wb") as fh:
             pickle.dump(payload, fh)
-        warmed = PlanCache.load(path)
-        assert set(warmed.keys()) == {
-            f"fp-k{i}/spmm/J{32 + i}" for i in range(4)
-        }
-        entry = warmed.get("fp-k1/spmm/J33")
-        assert entry is not None
-        assert entry.compose_overhead_s == pytest.approx(0.3)
-        assert warmed.hits == 1 and warmed.misses == 0  # the get() above
+
+    def test_load_rejects_v1_spill(self, tmp_path, plans):
+        """A pre-op-key (v1) spill is an incompatible bundle like any
+        other old tag: it raises instead of warm-starting."""
+        cache = PlanCache(max_bytes=1 << 30)
+        for i, (k, p) in enumerate(plans.items()):
+            cache.put(f"fp-{k}/J{32 + i}", p, compose_overhead_s=0.3)
+        path = tmp_path / "v1.pkl"
+        cache.save(path)
+        self._as_v1_bundle(path)
+        with pytest.raises(ValueError, match="incompatible cache tag 'repro-plancache-v1'"):
+            PlanCache.load(path)
 
     def test_load_leaves_current_magic_keys_untouched(self, tmp_path, plans):
         """A v2 spill whose keys already carry ops must not be rewritten."""
@@ -148,21 +146,17 @@ class TestSpill:
             "fp-a/sddmm/J16", "fp-b/spmm/J32", "opaque-key"
         }
 
-    def test_v1_migration_skips_keys_already_op_typed(self, tmp_path, plans):
-        """Defensive: a v1-tagged bundle whose keys already name an op
-        (a hand-edited or half-migrated spill) is not double-rewritten."""
+    def test_load_rejects_v1_spill_with_op_keys(self, tmp_path, plans):
+        """The tag alone decides: a v1-tagged bundle is rejected even when
+        its keys already name an op."""
         cache = PlanCache(max_bytes=1 << 30)
         cache.put("fp-a/spmv/J1", plans["k0"])
-        cache.put("fp-b/J64", plans["k1"])
+        cache.put("fp-b/spmm/J64", plans["k1"])
         path = tmp_path / "mixed.pkl"
         cache.save(path)
-        with path.open("rb") as fh:
-            payload = pickle.load(fh)
-        payload["magic"] = "repro-plancache-v1"
-        with path.open("wb") as fh:
-            pickle.dump(payload, fh)
-        warmed = PlanCache.load(path)
-        assert set(warmed.keys()) == {"fp-a/spmv/J1", "fp-b/spmm/J64"}
+        self._as_v1_bundle(path)
+        with pytest.raises(ValueError, match="incompatible cache tag 'repro-plancache-v1'"):
+            PlanCache.load(path)
 
     def test_load_keeps_saved_budget_when_unspecified(self, tmp_path, plans):
         cache = PlanCache(max_bytes=12345678)

@@ -15,10 +15,11 @@ import pytest
 from repro.core import LiteForm, generate_training_data
 from repro.gpu import FaultPolicy, FaultyDevice
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
+from repro.obs import tracing
 from repro.serve import (
     ClusterFrontend,
+    OpRequest,
     RetryPolicy,
-    SpMMRequest,
     SpMMServer,
     WindowedFrequencySketch,
 )
@@ -42,7 +43,7 @@ def _requests(mats, count: int, J: int = 32, with_B: bool = False, seed: int = 0
         B = None
         if with_B:
             B = rng.standard_normal((A.shape[1], J)).astype(np.float32)
-        out.append(SpMMRequest(matrix=A, B=B, J=J, name=f"m{i % len(mats)}"))
+        out.append(OpRequest(matrix=A, B=B, J=J, name=f"m{i % len(mats)}"))
     return out
 
 
@@ -53,7 +54,7 @@ class TestBitIdentity:
         single = SpMMServer(liteform=liteform)
         cluster = ClusterFrontend(liteform, num_shards=4)
         for r in reqs:
-            a = single.serve(SpMMRequest(matrix=r.matrix, B=r.B, J=r.J))
+            a = single.serve(OpRequest(matrix=r.matrix, B=r.B, J=r.J))
             b = cluster.serve(r)
             assert b.ok
             assert np.array_equal(a.C, b.C)
@@ -67,7 +68,7 @@ class TestBitIdentity:
             hot_min_count=2,
         )
         for r in reqs:
-            a = single.serve(SpMMRequest(matrix=r.matrix, B=r.B, J=r.J))
+            a = single.serve(OpRequest(matrix=r.matrix, B=r.B, J=r.J))
             b = cluster.serve(r)
             assert np.array_equal(a.C, b.C)
 
@@ -115,7 +116,7 @@ class TestHotKeyReplication:
         # 70% of traffic on matrix 0 — a Zipf head.
         pattern = [0, 0, 0, 0, 0, 0, 0, 1, 2, 3]
         reqs = [
-            SpMMRequest(matrix=mats[pattern[i % 10]], B=None, J=32)
+            OpRequest(matrix=mats[pattern[i % 10]], B=None, J=32)
             for i in range(50)
         ]
         fe = ClusterFrontend(
@@ -280,6 +281,25 @@ class TestObservability:
         fe.replay(_requests(_matrices(3), 9))
         text = fe.report()
         assert "shards" in text and "shard-0" in text
+
+    @pytest.mark.parametrize("batch", [0, 4])
+    def test_cluster_and_shard_launch_stages_agree(self, liteform, batch):
+        """Both views of a request's ``launch`` stage read its simulated
+        kernel time, so they agree exactly, fused launches included."""
+        fe = ClusterFrontend(liteform, num_shards=2, batch=batch)
+        with tracing():
+            fe.replay(_requests(_matrices(3), 12, with_B=True))
+        cluster = {r["trace_id"]: r for r in fe.metrics.attribution.records()}
+        shard = {
+            r["trace_id"]: r
+            for s in fe._shards.values()
+            for r in s.server.metrics.attribution.records()
+        }
+        assert len(cluster) == 12 and set(cluster) == set(shard)
+        for trace_id, rec in cluster.items():
+            launch = rec["stages"]["launch"]
+            assert launch > 0
+            assert launch == shard[trace_id]["stages"]["launch"], trace_id
 
 
 class TestSketchIntegration:

@@ -8,7 +8,7 @@ from repro.core import LiteForm, generate_training_data
 from repro.formats.base import as_csr
 from repro.kernels import spmm_reference
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
-from repro.serve import PlanCache, SpMMRequest, SpMMServer
+from repro.serve import OpRequest, PlanCache, SpMMServer
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def server(liteform):
 def _request(seed=1, n=400, J=32, deadline_ms=None):
     A = power_law_graph(n, 6, seed=seed)
     B = np.random.default_rng(seed).standard_normal((A.shape[1], J)).astype(np.float32)
-    return SpMMRequest(matrix=A, B=B, J=J, deadline_ms=deadline_ms)
+    return OpRequest(matrix=A, B=B, J=J, deadline_ms=deadline_ms)
 
 
 class TestCaching:
@@ -59,14 +59,14 @@ class TestCaching:
 
     def test_different_J_is_a_different_plan(self, server):
         A = power_law_graph(300, 5, seed=5)
-        r32 = server.serve(SpMMRequest(matrix=A, B=None, J=32))
-        r64 = server.serve(SpMMRequest(matrix=A, B=None, J=64))
+        r32 = server.serve(OpRequest(matrix=A, B=None, J=32))
+        r64 = server.serve(OpRequest(matrix=A, B=None, J=64))
         assert not r64.cache_hit
         assert r32.key != r64.key
 
     def test_measure_only_request(self, server):
         req = _request(seed=6)
-        resp = server.serve(SpMMRequest(matrix=req.matrix, B=None, J=32))
+        resp = server.serve(OpRequest(matrix=req.matrix, B=None, J=32))
         assert resp.C is None
         assert resp.measurement is not None and resp.measurement.time_s > 0
 
@@ -82,8 +82,8 @@ class TestCaching:
             data[lo:hi] = data[lo:hi][::-1]
         unsorted = sp.csr_matrix((data, indices, A.indptr.copy()), shape=A.shape)
         assert not unsorted.has_canonical_format
-        first = server.serve(SpMMRequest(matrix=A, B=None, J=32))
-        second = server.serve(SpMMRequest(matrix=unsorted, B=None, J=32))
+        first = server.serve(OpRequest(matrix=A, B=None, J=32))
+        second = server.serve(OpRequest(matrix=unsorted, B=None, J=32))
         assert second.key == first.key
         assert second.cache_hit
 
@@ -99,21 +99,21 @@ class TestCaching:
         )
         summed = as_csr(dup.copy())
         assert summed.nnz == 3  # the duplicate collapsed
-        r1 = server.serve(SpMMRequest(matrix=dup, B=None, J=32))
-        r2 = server.serve(SpMMRequest(matrix=summed, B=None, J=32))
+        r1 = server.serve(OpRequest(matrix=dup, B=None, J=32))
+        r2 = server.serve(OpRequest(matrix=summed, B=None, J=32))
         assert r1.key == r2.key and r2.cache_hit
 
 
 class TestAdmissionControl:
     def test_no_history_admits_optimistically(self, server):
         resp = server.serve(_request(seed=7, deadline_ms=1e-9))
-        assert not resp.degraded  # nothing to estimate from yet
+        assert not resp.admission_degraded  # nothing to estimate from yet
         assert resp.plan.overhead.total_s > 0
 
     def test_deadline_fallback_triggers_and_is_counted(self, server):
         server.serve(_request(seed=8))  # prime the overhead estimate
         resp = server.serve(_request(seed=9, deadline_ms=1e-9))
-        assert resp.degraded
+        assert resp.admission_degraded
         assert not resp.plan.use_cell
         assert type(resp.plan.fmt).__name__ == "CSRFormat"
         assert server.metrics.degraded == 1
@@ -126,7 +126,7 @@ class TestAdmissionControl:
     def test_degraded_plan_is_not_cached(self, server):
         server.serve(_request(seed=8))
         degraded = server.serve(_request(seed=10, deadline_ms=1e-9))
-        assert degraded.degraded
+        assert degraded.admission_degraded
         best_effort = server.serve(_request(seed=10))
         assert not best_effort.cache_hit  # fallback was not pinned
         assert best_effort.plan.overhead.total_s > 0
@@ -134,7 +134,7 @@ class TestAdmissionControl:
     def test_generous_deadline_admits(self, server):
         server.serve(_request(seed=8))
         resp = server.serve(_request(seed=11, deadline_ms=60_000.0))
-        assert not resp.degraded and not resp.deadline_missed
+        assert not resp.admission_degraded and not resp.deadline_missed
 
     def test_estimate_tracks_history(self, server):
         assert server.estimate_compose_s(1000) is None
@@ -186,7 +186,7 @@ class TestResponseStatus:
 
         resp = server.serve(_request(seed=21))
         assert resp.status is ResponseStatus.OK
-        assert resp.ok and not resp.failed and not resp.degraded
+        assert resp.ok and not resp.failed and not resp.admission_degraded
 
     def test_degraded_status_mirrors_property(self, server):
         from repro.serve import ResponseStatus
@@ -194,7 +194,7 @@ class TestResponseStatus:
         server.serve(_request(seed=22, n=300))  # warm the estimator
         resp = server.serve(_request(seed=23, n=2000, deadline_ms=1e-4))
         assert resp.status is ResponseStatus.DEGRADED
-        assert resp.degraded and not resp.failed and not resp.ok
+        assert resp.admission_degraded and not resp.failed and not resp.ok
 
     def test_status_serializes_as_string(self, server):
         import json

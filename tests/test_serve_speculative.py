@@ -13,6 +13,7 @@ a speculative CELL plan swapped over it — the OOM already proved the full
 plan cannot fit that working set.
 """
 
+import logging
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -26,7 +27,7 @@ from repro.formats.csr import CSRFormat
 from repro.gpu import SimulatedDevice, SimulatedOOMError
 from repro.kernels import spmm_reference
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
-from repro.serve import PlanCache, SpMMRequest, SpMMServer
+from repro.serve import OpRequest, PlanCache, SpMMServer
 from repro.serve.fingerprint import fingerprint_csr, plan_key
 from repro.serve.scheduler import Scheduler
 from repro.serve.server import ResponseStatus
@@ -45,7 +46,7 @@ def _request(seed=1, n=400, J=32, with_B=False):
         B = np.random.default_rng(seed).standard_normal(
             (A.shape[1], J)
         ).astype(np.float32)
-    return SpMMRequest(matrix=A, B=B, J=J)
+    return OpRequest(matrix=A, B=B, J=J)
 
 
 def _key(request):
@@ -127,7 +128,9 @@ class TestSpeculativeMiss:
         gate.set()
         assert server.wait_for_speculation() == 1
 
-    def test_background_compose_error_is_skipped(self, liteform, monkeypatch):
+    def test_background_compose_error_is_counted_and_logged(
+        self, liteform, monkeypatch, caplog
+    ):
         def boom(A, J, **kw):
             raise RuntimeError("injected compose failure")
 
@@ -136,10 +139,20 @@ class TestSpeculativeMiss:
         req = _request(seed=44)
         resp = server.serve(req)
         assert resp.speculative and not resp.failed
-        assert server.wait_for_speculation() == 0
-        assert server.metrics.speculative_skipped == 1
-        assert server.metrics.speculative_swaps == 0
+        with caplog.at_level(logging.ERROR, logger="repro.serve.server"):
+            assert server.wait_for_speculation() == 0
+        m = server.metrics
+        # An error is not a pin-skip: it has its own counter and log line.
+        assert m.speculative_errors == 1
+        assert m.speculative_skipped == 0
+        assert m.speculative_swaps == 0
         assert not server._inflight  # the failed future was drained
+        [record] = [r for r in caplog.records if r.name == "repro.serve.server"]
+        assert resp.key in record.getMessage()
+        assert str(record.exc_info[1]) == "injected compose failure"
+        text = m.registry.render_prometheus()
+        assert "serve_speculative_errors_total 1" in text
+        assert "serve_speculative_skipped_total 0" in text
 
     def test_replay_settles_speculation(self, liteform):
         requests = [_request(seed=s) for s in (45, 46, 47)]
