@@ -15,7 +15,7 @@ refined by microbenchmarking (Roofline-style).  This reproduction:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,24 +84,20 @@ class HybridPanelSpMM(SpMMKernel):
     def plan(self, fmt: HybridPanelFormat, J: int) -> KernelStats:
         if not isinstance(fmt, HybridPanelFormat):
             raise TypeError(f"stile kernel requires HybridPanelFormat, got {type(fmt).__name__}")
-        stats = []
-        kinds = set()
-        for p in fmt.panels:
-            kinds.add(p.kind)
-            kern = self._cell if p.kind == "ell" else self._csr
-            s = kern.plan(p.fmt, J)
-            s.num_launches = 0
-            stats.append(s)
-        if not stats:
+        if not fmt.panels:
             return KernelStats(num_launches=1, label=self.name)
-        merged = KernelStats.merge(stats)
+        merged = KernelStats.merge(
+            (self._cell if p.kind == "ell" else self._csr).stats(p.fmt, J)
+            for p in fmt.panels
+        )
         # Same-kind panels fuse into one launch; atomic CELL panels still
         # need their zero-initialization launch.
-        merged.num_launches = max(1, len(kinds)) + (
-            1 if merged.atomic_store_bytes > 0 else 0
+        kinds = {p.kind for p in fmt.panels}
+        return replace(
+            merged,
+            num_launches=len(kinds) + (1 if merged.atomic_store_bytes > 0 else 0),
+            label=self.name,
         )
-        merged.label = self.name
-        return merged
 
     def execute(self, fmt: HybridPanelFormat, B: np.ndarray) -> np.ndarray:
         B = check_dense_operand(B, fmt.shape[1])

@@ -50,6 +50,7 @@ from repro.formats.cell import CELLFormat, split_csr
 from repro.gpu.device import SimulatedDevice
 from repro.kernels.cell_spmm import CELLSpMM
 from repro.matrices.collection import SuiteSparseLikeCollection
+from repro.obs import get_registry
 from repro.serve import PlanCache, SpMMServer
 from repro.serve.workload import WorkloadSpec, generate_workload
 
@@ -375,19 +376,25 @@ def _bench_serve(repeats: int) -> Iterator[Metric]:
     )
     requests = generate_workload(spec)
 
+    derived = get_registry().get("kernel_stats_derived_total")
     last_metrics = None
+    last_derived = 0.0
 
     def replay():
-        nonlocal last_metrics
+        nonlocal last_metrics, last_derived
+        before = derived.value
         server = SpMMServer(liteform=liteform, cache=PlanCache())
         server.replay(requests)
         last_metrics = server.metrics
+        last_derived = derived.value - before
         return server
 
     yield Metric("serve.replay.wall_ms", _median_wall_ms(replay, repeats), "wall", "ms")
     assert last_metrics is not None
     yield Metric("serve.requests", float(last_metrics.requests), "exact")
     yield Metric("serve.cache_hits", float(last_metrics.cache_hits), "exact")
+    # One launch-stats derivation per composed plan: cache hits reuse them.
+    yield Metric("serve.stats_derivations", last_derived, "exact")
 
 
 def _bench_adaptive(repeats: int) -> Iterator[Metric]:

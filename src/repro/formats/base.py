@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,10 +69,26 @@ class SparseFormat(abc.ABC):
     * :attr:`footprint_bytes` — device bytes occupied by the format arrays;
     * :attr:`stored_elements` — value slots including zero padding;
     * :attr:`padding_ratio` — 1 - nnz / stored_elements.
+
+    A built format is never mutated: code that changes a matrix builds a
+    new format.  That is what lets kernels cache launch statistics on the
+    instance (:meth:`repro.kernels.base.SpMMKernel.stats`).
     """
 
     shape: tuple[int, int]
     nnz: int
+
+    @cached_property
+    def _stats_memo(self) -> dict:
+        """``(kernel config, J) -> KernelStats`` cache of this instance."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # Cached stats are derived data: a pickled format (a saved plan
+        # cache) re-derives them on first use.
+        state = self.__dict__.copy()
+        state.pop("_stats_memo", None)
+        return state
 
     @classmethod
     @abc.abstractmethod

@@ -135,7 +135,9 @@ class SimulatedDevice:
 
     Kernels hand their :class:`KernelStats` to :meth:`measure`; the device
     checks the memory footprint and returns a :class:`Measurement` with the
-    estimated execution time and utilization figures.
+    estimated execution time and utilization figures.  The estimate itself
+    is cached on the (immutable) stats record per timing model and spec,
+    so relaunching a plan re-runs only the per-launch checks and telemetry.
     """
 
     spec: GPUSpec = field(default_factory=lambda: V100)
@@ -153,7 +155,7 @@ class SimulatedDevice:
             raise SimulatedOOMError(stats.footprint_bytes, self.spec.dram_bytes)
         tracer = get_tracer()
         with tracer.span("kernel_launch", kernel=stats.label or "unlabeled") as span:
-            breakdown = self.timing.estimate(stats, self.spec)
+            breakdown = stats.breakdown(self.timing, self.spec)
             total_s = breakdown.total_s
             flops = float(stats.flops)
             peak = self.spec.fp32_gflops * 1e9

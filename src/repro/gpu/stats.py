@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.gpu.timing import TimeBreakdown
+    from repro.gpu.device import GPUSpec
+    from repro.gpu.timing import TimeBreakdown, TimingModel
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KernelStats:
     """Structural description of the work one GPU kernel launch performs.
 
     Every field is a *count* derived from the sparse format and the operand
     shapes, never from wall-clock timing, so measurements are deterministic.
+
+    Records are immutable (``block_costs`` is a read-only copy), so one
+    record can be shared by every launch of the same ``(format, kernel,
+    J)`` — see :meth:`repro.kernels.base.SpMMKernel.stats` — and its
+    timing estimate can be cached with it (:meth:`breakdown`).  Derive a
+    variant with :func:`dataclasses.replace`.
 
     Attributes
     ----------
@@ -73,11 +80,35 @@ class KernelStats:
     lpt_dispatch: bool = False
 
     def __post_init__(self) -> None:
-        self.block_costs = np.asarray(self.block_costs, dtype=np.float64)
         if self.lane_utilization <= 0.0 or self.lane_utilization > 1.0:
             raise ValueError(
                 f"lane_utilization must be in (0, 1], got {self.lane_utilization}"
             )
+        costs = np.array(self.block_costs, dtype=np.float64)
+        costs.setflags(write=False)
+        object.__setattr__(self, "block_costs", costs)
+        #: (timing-model key, GPUSpec) -> TimeBreakdown; see breakdown().
+        object.__setattr__(self, "_breakdowns", {})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KernelStats):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # equal by value, holds an array
+
+    def breakdown(self, timing: "TimingModel", spec: "GPUSpec") -> "TimeBreakdown":
+        """``timing.estimate(self, spec)``, computed once per timing-model
+        parameters and device spec — the record is immutable, so its
+        estimate (block schedule included) is too."""
+        key = (timing.key, spec)
+        cached = self._breakdowns.get(key)
+        if cached is None:
+            cached = self._breakdowns[key] = timing.estimate(self, spec)
+        return cached
 
     @property
     def total_load_bytes(self) -> float:

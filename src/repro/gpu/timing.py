@@ -68,6 +68,18 @@ class TimingModel:
         self.compute_efficiency = compute_efficiency
         self.scheduler = scheduler or BlockScheduler()
 
+    @property
+    def key(self) -> tuple:
+        """Every parameter :meth:`estimate` depends on besides its
+        arguments — the cache key of :meth:`KernelStats.breakdown`."""
+        return (
+            type(self),
+            self.bandwidth_efficiency,
+            self.compute_efficiency,
+            type(self.scheduler),
+            self.scheduler.exact_threshold,
+        )
+
     def estimate(self, stats: "KernelStats", spec: "GPUSpec") -> TimeBreakdown:
         mem_bytes = stats.effective_memory_bytes(spec.atomic_penalty)
         bw = (

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from repro.formats.base import SparseFormat, VALUE_DTYPE
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.stats import KernelStats, Measurement
+from repro.obs import get_registry
 
 #: Bytes per 32-bit word.
 WORD = 4
@@ -69,13 +70,22 @@ def operand_footprint(format_bytes: float, K: int, I: int, J: int) -> float:
     return float(format_bytes) + (K + I) * J * WORD
 
 
+#: Counts real derivations (:meth:`SpMMKernel.plan` calls made by
+#: :meth:`SpMMKernel.stats`); relaunching a plan must not move it.
+_STATS_DERIVED = get_registry().counter(
+    "kernel_stats_derived_total",
+    "Kernel launch statistics derived (cache misses of SpMMKernel.stats)",
+)
+
+
 class SpMMKernel(abc.ABC):
     """A GPU SpMM kernel: numeric execution + structural cost statistics.
 
     Subclasses implement :meth:`plan` (emit :class:`KernelStats` for a given
     format and dense width ``J``) and :meth:`execute` (compute ``C``
     numerically from the format's own arrays).  :meth:`run` combines both on
-    a :class:`SimulatedDevice`.
+    a :class:`SimulatedDevice`.  :meth:`stats` is the cached entry point to
+    :meth:`plan` that :meth:`run` and :meth:`measure` use.
     """
 
     #: Human-readable kernel name (system whose strategy it reproduces).
@@ -83,7 +93,37 @@ class SpMMKernel(abc.ABC):
 
     @abc.abstractmethod
     def plan(self, fmt: SparseFormat, J: int) -> KernelStats:
-        """Derive the structural work statistics for ``C = A @ B``."""
+        """Derive the structural work statistics for ``C = A @ B``.
+
+        The pure, uncached derivation; callers that launch use :meth:`stats`.
+        """
+
+    @property
+    def config(self) -> tuple:
+        """Hashable identity of this kernel's configuration: its class and
+        every instance attribute (sub-kernels by their own ``config``).
+        Two kernels with equal configs derive equal stats."""
+        return (type(self),) + tuple(
+            (k, v.config if isinstance(v, SpMMKernel) else v)
+            for k, v in sorted(vars(self).items())
+        )
+
+    def stats(self, fmt: SparseFormat, J: int) -> KernelStats:
+        """:meth:`plan`, memoized on ``fmt`` per ``(config, J)``.
+
+        Formats are never mutated once built (``patch_rows``, revalue and
+        OOM degradation all build new instances) and :class:`KernelStats`
+        is immutable, so the cached record is shared by every launch of
+        this format and never goes stale.  The memo is not pickled with
+        the format.
+        """
+        key = (self.config, int(J))
+        memo = fmt._stats_memo
+        stats = memo.get(key)
+        if stats is None:
+            stats = memo[key] = self.plan(fmt, int(J))
+            _STATS_DERIVED.inc()
+        return stats
 
     @abc.abstractmethod
     def execute(self, fmt: SparseFormat, B: np.ndarray) -> np.ndarray:
@@ -93,14 +133,13 @@ class SpMMKernel(abc.ABC):
         self, fmt: SparseFormat, B: np.ndarray, device: SimulatedDevice
     ) -> tuple[np.ndarray, Measurement]:
         """Execute numerically and measure on the simulated device."""
-        stats = self.plan(fmt, int(B.shape[1]))
-        measurement = device.measure(stats)
+        measurement = device.measure(self.stats(fmt, int(B.shape[1])))
         C = self.execute(fmt, B)
         return C, measurement
 
     def measure(self, fmt: SparseFormat, J: int, device: SimulatedDevice) -> Measurement:
         """Timing-only path (no numeric execution) for tuners and sweeps."""
-        return device.measure(self.plan(fmt, int(J)))
+        return device.measure(self.stats(fmt, J))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -95,7 +97,8 @@ class CELLSpMM(SpMMKernel):
                 label=self.name,
             )
         merged = KernelStats.merge(per_bucket)
-        merged.num_launches = 1 if self.fused else len(per_bucket)
+        num_launches = 1 if self.fused else len(per_bucket)
+        memset_bytes = 0.0
         if merged.atomic_store_bytes > 0:
             # atomicAdd accumulation needs its target rows zero-initialized;
             # only the rows written by atomic buckets are memset.
@@ -104,10 +107,14 @@ class CELLSpMM(SpMMKernel):
                 for _, bucket in fmt.iter_buckets()
                 if fmt.needs_atomic(bucket)
             )
-            merged.coalesced_store_bytes += float(min(atomic_rows, I)) * J * 4
-            merged.num_launches += 1
-        merged.label = self.name
-        return merged
+            memset_bytes = float(min(atomic_rows, I)) * J * 4
+            num_launches += 1
+        return replace(
+            merged,
+            coalesced_store_bytes=merged.coalesced_store_bytes + memset_bytes,
+            num_launches=num_launches,
+            label=self.name,
+        )
 
     def execute(self, fmt: CELLFormat, B: np.ndarray) -> np.ndarray:
         B = check_dense_operand(B, fmt.shape[1])

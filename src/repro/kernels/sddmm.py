@@ -14,6 +14,8 @@ partition-bounded gather windows on ``V``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -70,8 +72,7 @@ class _SDDMMKernel(SpMMKernel):
 
     def run(self, fmt, operands, device):
         U, V = operands
-        stats = self.plan(fmt, int(np.asarray(U).shape[1]))
-        measurement = device.measure(stats)
+        measurement = device.measure(self.stats(fmt, int(np.asarray(U).shape[1])))
         C = self.execute(fmt, (U, V))
         return C, measurement
 
@@ -157,10 +158,7 @@ class CELLSDDMM(_SDDMMKernel):
             )
         if not per_bucket:
             return KernelStats(num_launches=1, label=self.name)
-        merged = KernelStats.merge(per_bucket)
-        merged.num_launches = 1
-        merged.label = self.name
-        return merged
+        return replace(KernelStats.merge(per_bucket), num_launches=1, label=self.name)
 
     def execute(self, fmt: CELLFormat, operands) -> sp.csr_matrix:
         U, V = operands

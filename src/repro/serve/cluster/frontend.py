@@ -637,7 +637,7 @@ class ClusterFrontend:
         with self._on_lane(shard):
             if shard.scheduler is not None:
                 for item in items:
-                    shard.scheduler.submit(item.request)
+                    shard.scheduler.submit(item.request, (item.A, item.key))
                 # Scheduler tickets are monotone, and drain returns unclaimed
                 # responses in ticket order — i.e. our submission order.
                 return shard.scheduler.drain()

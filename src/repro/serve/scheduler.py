@@ -289,17 +289,26 @@ class Scheduler:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         self._batcher = Batcher(self.max_batch, self.max_wait_ms)
         self._next_ticket = 0
-        self._submitted: list[tuple[int, OpRequest]] = []
+        self._submitted: list[tuple[int, OpRequest, tuple | None]] = []
         self._completed: dict[int, OpResponse] = {}
         #: Virtual time at which each server device finishes its queue.
         self._free_at_ms = [0.0] * len(self.server.devices)
 
     # ------------------------------------------------------------------
-    def submit(self, request: OpRequest) -> int:
-        """Enqueue a request for the next :meth:`drain`; returns a ticket."""
+    def submit(
+        self,
+        request: OpRequest,
+        prepared: tuple[sp.csr_matrix, str] | None = None,
+    ) -> int:
+        """Enqueue a request for the next :meth:`drain`; returns a ticket.
+
+        ``prepared`` is the request's already-computed ``(canonical CSR,
+        plan key)`` (the cluster frontend fingerprints at routing), so
+        admission does not fingerprint it again.
+        """
         ticket = self._next_ticket
         self._next_ticket += 1
-        self._submitted.append((ticket, request))
+        self._submitted.append((ticket, request, prepared))
         self.metrics.submitted += 1
         return ticket
 
@@ -362,9 +371,8 @@ class Scheduler:
         now = 0.0
         while i < n or len(self._batcher):
             while i < n and arrivals[i][1].arrival_ms <= now:
-                ticket, request = arrivals[i]
+                self._admit(*arrivals[i], now)
                 i += 1
-                self._admit(ticket, request, now)
             for group in self._batcher.ready(now, flush=i >= n):
                 self._dispatch(group, now)
             if i < n or len(self._batcher):
@@ -379,8 +387,14 @@ class Scheduler:
             [self.metrics.makespan_ms, *self._free_at_ms]
         )
 
-    def _admit(self, ticket: int, request: OpRequest, now: float) -> None:
+    def _admit(
+        self, ticket: int, request: OpRequest, prepared: tuple | None, now: float
+    ) -> None:
         at = max(now, request.arrival_ms)
+        if prepared is None:
+            A = self.server._canonical(request.matrix)
+            prepared = (A, plan_key(fingerprint_csr(A), request.J, request.op))
+        A, key = prepared
         if self.max_queue is not None and len(self._batcher) >= self.max_queue:
             # Backpressure: the queue is full.  Shedding serves the
             # request immediately on the forced-degraded path (a cache
@@ -389,13 +403,11 @@ class Scheduler:
             # added to everything behind it.
             self.metrics.shed += 1
             response = self.server._serve_one(
-                request, force_degrade=True, shed=True
+                request, force_degrade=True, shed=True, A=A, key=key
             )
             self._occupy(response, at)
             self._completed[ticket] = response
             return
-        A = self.server._canonical(request.matrix)
-        key = plan_key(fingerprint_csr(A), request.J, request.op)
         self._batcher.push(
             _QueuedRequest(
                 ticket=ticket, request=request, A=A, key=key, enqueued_ms=at

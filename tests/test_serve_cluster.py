@@ -256,6 +256,45 @@ class TestBatchedMode:
         # repeats of one fingerprint coalesce into fused launches
         assert any(r.batch_size > 1 for r in responses)
 
+    def test_each_request_fingerprinted_once_reroutes_included(
+        self, liteform, monkeypatch
+    ):
+        """The frontend's ``(A, key)`` rides through shard queueing,
+        batching and reroutes: no layer below fingerprints again."""
+        import repro.serve.cluster.frontend as frontend
+        import repro.serve.scheduler as scheduler
+        import repro.serve.server as server
+
+        calls = []
+        original = frontend.fingerprint_csr
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.nnz)
+            return original(A, *args, **kwargs)
+
+        for module in (frontend, scheduler, server):
+            monkeypatch.setattr(module, "fingerprint_csr", counting)
+
+        def factory(shard_index, device_index):
+            if shard_index == 0:
+                return FaultyDevice(faults=FaultPolicy(death_rate=1.0, seed=9))
+            return FaultyDevice(faults=FaultPolicy(seed=90 + shard_index))
+
+        fe = ClusterFrontend(
+            liteform,
+            num_shards=3,
+            batch=4,
+            device_factory=factory,
+            retry=RetryPolicy(max_attempts=1),
+        )
+        reqs = _requests(_matrices(6), 30)
+        for r in reqs:
+            fe.submit(r)
+        responses = fe.drain()
+        assert all(not r.failed for r in responses)
+        assert fe.metrics.rerouted > 0
+        assert len(calls) == len(reqs)
+
 
 class TestObservability:
     def test_snapshot_shape(self, liteform):
