@@ -2,11 +2,12 @@
 
 These are the scipy-slicing / per-bucket-matmul code paths that
 ``CELLFormat.from_csr``, ``matrix_cost_profiles``, ``build_buckets`` and
-``CELLSpMM.execute`` used before the bulk-NumPy rewrite.  They are kept
+``CELLSpMM.execute`` used before the bulk-NumPy rewrite, and the
+per-bucket ``CELLSDDMM.execute`` that preceded the cached format operator.  They are kept
 verbatim for two consumers:
 
 * the equivalence tests, which assert the vectorized paths produce
-  **bit-identical** CELL structures, costs, and SpMM outputs; and
+  **bit-identical** CELL structures, costs, and SpMM and SDDMM outputs; and
 * :mod:`repro.bench.regress`, whose ``compose.speedup_vs_reference``
   metric times the vectorized pipeline against this one — a
   machine-relative ratio that survives CI-runner speed differences.
@@ -315,3 +316,29 @@ def reference_cell_execute(fmt: CELLFormat, B: np.ndarray) -> np.ndarray:
         else:
             C[row_ind] += partial
     return C
+
+
+def reference_cell_sddmm(fmt: CELLFormat, U: np.ndarray, V: np.ndarray) -> sp.csr_matrix:
+    """The per-bucket ``CELLSDDMM.execute`` (one mask/gather per bucket)."""
+    U = np.asarray(U, dtype=VALUE_DTYPE)
+    V = np.asarray(V, dtype=VALUE_DTYPE)
+    rows_all, cols_all, vals_all = [], [], []
+    for _, bucket in fmt.iter_buckets():
+        mask = bucket.col != PAD
+        if not mask.any():
+            continue
+        local_rows, _ = np.nonzero(mask)
+        rows = bucket.row_ind.astype(np.int64)[local_rows]
+        cols = bucket.col[mask].astype(np.int64)
+        vals = bucket.val[mask]
+        dots = np.einsum("ij,ij->i", U[rows], V[cols], dtype=np.float32)
+        rows_all.append(rows)
+        cols_all.append(cols)
+        vals_all.append(vals * dots)
+    if not rows_all:
+        return sp.csr_matrix(fmt.shape, dtype=VALUE_DTYPE)
+    return sp.csr_matrix(
+        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
+        shape=fmt.shape,
+        dtype=VALUE_DTYPE,
+    )

@@ -352,7 +352,7 @@ def _bench_kernel(entries, repeats: int) -> Iterator[Metric]:
     def run_all():
         return [kernel.execute(fmt, B) for fmt, B in pairs]
 
-    run_all()  # warm the cached per-bucket slabs before timing
+    run_all()  # build each format's cached operator before timing
     yield Metric("kernel.execute.wall_ms", _median_wall_ms(run_all, repeats), "wall", "ms")
     checksum = float(sum(float(C.astype(np.float64).sum()) for C in run_all()))
     yield Metric("kernel.execute.checksum", checksum, "exact", tol=1e-9)

@@ -71,8 +71,9 @@ class SparseFormat(abc.ABC):
     * :attr:`padding_ratio` — 1 - nnz / stored_elements.
 
     A built format is never mutated: code that changes a matrix builds a
-    new format.  That is what lets kernels cache launch statistics on the
-    instance (:meth:`repro.kernels.base.SpMMKernel.stats`).
+    new format.  That is what lets kernels cache launch statistics
+    (:meth:`repro.kernels.base.SpMMKernel.stats`) and the numeric
+    :attr:`operator` on the instance.
     """
 
     shape: tuple[int, int]
@@ -83,11 +84,26 @@ class SparseFormat(abc.ABC):
         """``(kernel config, J) -> KernelStats`` cache of this instance."""
         return {}
 
+    @cached_property
+    def operator(self):
+        """The SciPy operator(s) the numeric kernels multiply with.
+
+        Built on the first ``execute`` and read by every later launch, so
+        a cached plan never rebuilds a SciPy matrix per call.  Kernels
+        only read it; :meth:`to_csr` still returns a fresh matrix.
+        """
+        return self._build_operator()
+
+    def _build_operator(self):
+        """Build :attr:`operator`: the canonical CSR matrix by default."""
+        return self.to_csr()
+
     def __getstate__(self) -> dict:
-        # Cached stats are derived data: a pickled format (a saved plan
-        # cache) re-derives them on first use.
+        # Cached stats and the operator are derived data: a pickled format
+        # (a saved plan cache) rebuilds them on first use.
         state = self.__dict__.copy()
         state.pop("_stats_memo", None)
+        state.pop("operator", None)
         return state
 
     @classmethod

@@ -75,17 +75,19 @@ class BCSRFormat(SparseFormat):
     def num_block_rows(self) -> int:
         return int(self.indptr.size - 1)
 
-    def to_csr(self) -> sp.csr_matrix:
+    def _build_operator(self) -> sp.bsr_matrix:
+        """The tiles as a SciPy BSR matrix over the block-padded shape
+        (wide enough for the last stored block column)."""
         bh, bw = self.block_shape
-        I, K = self.shape
-        padded_rows = self.num_block_rows * bh
-        padded_cols = (int(self.indices.max()) + 1) * bw if self.indices.size else K
-        padded_cols = max(padded_cols, K)
-        bsr = sp.bsr_matrix(
+        padded_cols = (int(self.indices.max()) + 1) * bw if self.indices.size else 0
+        return sp.bsr_matrix(
             (self.blocks, self.indices, self.indptr),
-            shape=(padded_rows, padded_cols),
+            shape=(self.num_block_rows * bh, max(padded_cols, self.shape[1])),
         )
-        out = bsr.tocsr()[:I, :K].astype(VALUE_DTYPE)
+
+    def to_csr(self) -> sp.csr_matrix:
+        I, K = self.shape
+        out = self._build_operator().tocsr()[:I, :K].astype(VALUE_DTYPE)
         out.eliminate_zeros()
         return out
 

@@ -107,21 +107,6 @@ class Bucket:
         unique = np.bincount((uniq // span).astype(np.int64), minlength=n_waves)
         return unique.astype(np.int64), refs
 
-    @cached_property
-    def csr_slab(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(data, indices, indptr)`` of this bucket as a CSR slab.
-
-        The stored entries of each bucket row, pads stripped, in stored
-        order — exactly the arrays :class:`repro.kernels.cell_spmm.CELLSpMM`
-        needs for its fused gather, cached so repeated executions of the
-        same plan (the serving steady state) skip the mask/gather work.
-        """
-        mask = self.col != PAD
-        lens = mask.sum(axis=1)
-        indptr = np.zeros(self.num_rows + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        return self.val[mask], self.col[mask], indptr
-
     @property
     def num_blocks(self) -> int:
         if self.num_rows == 0:
@@ -451,25 +436,53 @@ class CELLFormat(SparseFormat):
     # ------------------------------------------------------------------
     # SparseFormat interface
     # ------------------------------------------------------------------
-    def to_csr(self) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for _, bucket in self.iter_buckets():
-            mask = bucket.col != PAD
-            if not mask.any():
-                continue
-            r = np.broadcast_to(
-                bucket.row_ind[:, None], bucket.col.shape
-            )[mask]
-            rows.append(r)
-            cols.append(bucket.col[mask])
-            vals.append(bucket.val[mask])
-        if not rows:
-            return sp.csr_matrix(self.shape, dtype=VALUE_DTYPE)
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=self.shape,
-            dtype=VALUE_DTYPE,
+    def _stacked_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every bucket row with its pads stripped, stacked in
+        :meth:`iter_buckets` order: ``(row_ind, indptr, col, val)``.
+
+        Stacked row ``r`` is the original matrix row ``row_ind[r]``; its
+        entries are ``col/val[indptr[r]:indptr[r + 1]]`` in stored order.
+        """
+        buckets = [b for _, b in self.iter_buckets()]
+        masks = [b.col != PAD for b in buckets]
+
+        def stack(arrays, dtype=INDEX_DTYPE):
+            return np.concatenate([np.zeros(0, dtype=dtype), *arrays])
+
+        lens = stack([m.sum(axis=1) for m in masks], np.int64)
+        indptr = np.zeros(lens.size + 1, dtype=INDEX_DTYPE)
+        np.cumsum(lens, out=indptr[1:])
+        return (
+            stack([b.row_ind for b in buckets]),
+            indptr,
+            stack([b.col[m] for b, m in zip(buckets, masks)]),
+            stack([b.val[m] for b, m in zip(buckets, masks)], VALUE_DTYPE),
         )
+
+    def _build_operator(self) -> tuple[sp.csc_matrix, sp.csr_matrix]:
+        """``(S, T)`` with ``A @ B == S @ (T @ B)``: all buckets as one fused
+        product, the numeric counterpart of Algorithm 2's single launch.
+
+        ``T`` (R x K) holds the stacked compact rows.  ``S`` (I x R, all
+        ones) scatters them: its column ``r`` holds ``row_ind[r]``, so
+        ``S.indices`` is the stacked row-index array.  ``S @ X`` adds the
+        rows of ``X`` into ``C`` in stacked order, the order in which
+        :func:`repro.bench.reference.reference_cell_execute` scatters
+        bucket by bucket, so results are bit-identical to it.
+        """
+        row_ind, indptr, col, val = self._stacked_rows()
+        R = row_ind.size
+        T = sp.csr_matrix((val, col, indptr), shape=(R, self.shape[1]))
+        S = sp.csc_matrix(
+            (np.ones(R, dtype=VALUE_DTYPE), row_ind, np.arange(R + 1, dtype=INDEX_DTYPE)),
+            shape=(self.shape[0], R),
+        )
+        return S, T
+
+    def to_csr(self) -> sp.csr_matrix:
+        row_ind, indptr, col, val = self._stacked_rows()
+        rows = np.repeat(row_ind, np.diff(indptr))
+        return sp.csr_matrix((val, (rows, col)), shape=self.shape, dtype=VALUE_DTYPE)
 
     @property
     def footprint_bytes(self) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.formats.bcsr import BCSRFormat
 from repro.gpu.memory import CacheModel, coalesced_bytes
@@ -83,17 +82,10 @@ class BCSRSpMM(SpMMKernel):
 
     def execute(self, fmt: BCSRFormat, B: np.ndarray) -> np.ndarray:
         B = check_dense_operand(B, fmt.shape[1])
-        bh, bw = fmt.block_shape
-        padded_cols = (int(fmt.indices.max()) + 1) * bw if fmt.indices.size else fmt.shape[1]
-        padded_cols = max(padded_cols, fmt.shape[1])
-        bsr = sp.bsr_matrix(
-            (fmt.blocks, fmt.indices, fmt.indptr),
-            shape=(fmt.num_block_rows * bh, padded_cols),
-        )
-        B_pad = B
+        bsr = fmt.operator
+        padded_cols = bsr.shape[1]
         if padded_cols > fmt.shape[1]:
-            B_pad = np.vstack(
+            B = np.vstack(
                 [B, np.zeros((padded_cols - fmt.shape[1], B.shape[1]), dtype=B.dtype)]
             )
-        C = np.asarray(bsr @ B_pad)
-        return C[: fmt.shape[0]]
+        return np.asarray(bsr @ B)[: fmt.shape[0]]

@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.formats.base import VALUE_DTYPE
 from repro.formats.cell import Bucket, CELLFormat
 from repro.gpu.memory import CacheModel, coalesced_bytes
 from repro.gpu.stats import KernelStats
@@ -118,27 +116,5 @@ class CELLSpMM(SpMMKernel):
 
     def execute(self, fmt: CELLFormat, B: np.ndarray) -> np.ndarray:
         B = check_dense_operand(B, fmt.shape[1])
-        I, J = fmt.shape[0], B.shape[1]
-        C = np.zeros((I, J), dtype=VALUE_DTYPE)
-        for _, bucket in fmt.iter_buckets():
-            # Cached compact slab: columns within each bucket row are already
-            # in CSR order, so the direct constructor needs no COO sort.
-            data, indices, indptr = bucket.csr_slab
-            if not data.size:
-                continue
-            slab = sp.csr_matrix(
-                (data, indices, indptr),
-                shape=(bucket.num_rows, fmt.shape[1]),
-            )
-            partial = np.asarray(slab @ B)
-            row_ind = bucket.row_ind.astype(np.int64)
-            if bucket.has_folds:
-                # Folded chunks alias output rows, so the scatter must
-                # accumulate duplicates — the atomicAdd path of the plan.
-                # (Cross-partition accumulation still counts as atomic in
-                # plan()'s cost model, but across buckets plain ``+=`` is
-                # exact: each bucket touches a row at most once here.)
-                np.add.at(C, row_ind, partial)
-            else:
-                C[row_ind] += partial
-        return C
+        S, T = fmt.operator
+        return np.asarray(S @ (T @ B))

@@ -150,7 +150,7 @@ class RowSplitCSRSpMM(SpMMKernel):
 
     def execute(self, fmt: CSRFormat, B: np.ndarray) -> np.ndarray:
         B = check_dense_operand(B, fmt.shape[1])
-        return np.asarray(fmt.to_csr() @ B)
+        return np.asarray(fmt.operator @ B)
 
 
 class SputnikSpMM(RowSplitCSRSpMM):

@@ -22,7 +22,6 @@ import scipy.sparse as sp
 from repro.formats.base import VALUE_DTYPE
 from repro.formats.cell import CELLFormat
 from repro.formats.csr import CSRFormat
-from repro.formats.ell import PAD
 from repro.gpu.memory import CacheModel, coalesced_bytes
 from repro.gpu.stats import KernelStats
 from repro.kernels.base import (
@@ -40,16 +39,23 @@ def sddmm_reference(A: sp.csr_matrix, U: np.ndarray, V: np.ndarray) -> sp.csr_ma
     U = np.asarray(U, dtype=VALUE_DTYPE)
     V = np.asarray(V, dtype=VALUE_DTYPE)
     _check_operands(A.shape, U, V)
-    out = A.copy().astype(VALUE_DTYPE)
+    out = A.astype(VALUE_DTYPE)
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    vals = np.empty(A.nnz, dtype=VALUE_DTYPE)
-    for lo in range(0, A.nnz, _CHUNK_NNZ):
-        hi = min(lo + _CHUNK_NNZ, A.nnz)
-        vals[lo:hi] = np.einsum(
-            "ij,ij->i", U[rows[lo:hi]], V[A.indices[lo:hi]], dtype=np.float32
-        )
-    out.data = A.data * vals
+    out.data = A.data * _sampled_dots(U, V, rows, A.indices)
     return out
+
+
+def _sampled_dots(
+    U: np.ndarray, V: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """``U[rows[e]] . V[cols[e]]`` for every stored element ``e``."""
+    dots = np.empty(rows.size, dtype=VALUE_DTYPE)
+    for lo in range(0, rows.size, _CHUNK_NNZ):
+        hi = lo + _CHUNK_NNZ
+        dots[lo:hi] = np.einsum(
+            "ij,ij->i", U[rows[lo:hi]], V[cols[lo:hi]], dtype=np.float32
+        )
+    return dots
 
 
 def _check_operands(shape: tuple[int, int], U: np.ndarray, V: np.ndarray) -> None:
@@ -117,8 +123,7 @@ class CSRSDDMM(_SDDMMKernel):
 
     def execute(self, fmt: CSRFormat, operands) -> sp.csr_matrix:
         U, V = operands
-        A = fmt.to_csr()
-        return sddmm_reference(A, U, V)
+        return sddmm_reference(fmt.operator, U, V)
 
 
 class CELLSDDMM(_SDDMMKernel):
@@ -165,23 +170,7 @@ class CELLSDDMM(_SDDMMKernel):
         U = np.asarray(U, dtype=VALUE_DTYPE)
         V = np.asarray(V, dtype=VALUE_DTYPE)
         _check_operands(fmt.shape, U, V)
-        rows_all, cols_all, vals_all = [], [], []
-        for _, bucket in fmt.iter_buckets():
-            mask = bucket.col != PAD
-            if not mask.any():
-                continue
-            local_rows, _ = np.nonzero(mask)
-            rows = bucket.row_ind.astype(np.int64)[local_rows]
-            cols = bucket.col[mask].astype(np.int64)
-            vals = bucket.val[mask]
-            dots = np.einsum("ij,ij->i", U[rows], V[cols], dtype=np.float32)
-            rows_all.append(rows)
-            cols_all.append(cols)
-            vals_all.append(vals * dots)
-        if not rows_all:
-            return sp.csr_matrix(fmt.shape, dtype=VALUE_DTYPE)
-        return sp.csr_matrix(
-            (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-            shape=fmt.shape,
-            dtype=VALUE_DTYPE,
-        )
+        S, T = fmt.operator
+        rows = np.repeat(S.indices, np.diff(T.indptr))
+        vals = T.data * _sampled_dots(U, V, rows, T.indices)
+        return sp.coo_matrix((vals, (rows, T.indices)), shape=fmt.shape).tocsr()

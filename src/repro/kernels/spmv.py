@@ -49,7 +49,7 @@ class _CSRSpMVBase(SpMMKernel):
 
     def execute(self, fmt: CSRFormat, x: np.ndarray) -> np.ndarray:
         x = check_dense_operand(np.atleast_2d(np.asarray(x, dtype=np.float32).reshape(fmt.shape[1], -1)), fmt.shape[1])
-        return np.asarray(fmt.to_csr() @ x)
+        return np.asarray(fmt.operator @ x)
 
     def run(self, fmt: CSRFormat, x: np.ndarray, device):
         """SpMV run: a 1-D ``x`` is a single column (the generic SpMM

@@ -22,6 +22,7 @@ this repo's simulated scale) are hashed in full.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -32,19 +33,28 @@ import scipy.sparse as sp
 NUM_SAMPLE_CHUNKS = 16
 
 
+@functools.cache
+def _dtype_tag(dtype: np.dtype) -> bytes:
+    """The encoded dtype name hashed ahead of an array (cached: ``str``
+    of a dtype costs more than hashing a small array)."""
+    return str(dtype).encode()
+
+
 def _hash_array(h: "hashlib._Hash", arr: np.ndarray, budget: int) -> None:
-    """Feed ``arr`` (or evenly spaced chunks of it) into digest ``h``."""
+    """Feed ``arr`` (or evenly spaced chunks of it) into digest ``h``.
+
+    The bytes are read through the buffer protocol, not copied out."""
     arr = np.ascontiguousarray(arr)
-    h.update(str(arr.dtype).encode())
+    h.update(_dtype_tag(arr.dtype))
     h.update(arr.size.to_bytes(8, "little"))
     if arr.nbytes <= budget:
-        h.update(arr.tobytes())
+        h.update(memoryview(arr))
         return
     itemsize = max(1, arr.itemsize)
     chunk_elems = max(1, budget // (NUM_SAMPLE_CHUNKS * itemsize))
     starts = np.linspace(0, arr.size - chunk_elems, NUM_SAMPLE_CHUNKS).astype(np.int64)
     for s in starts:
-        h.update(arr[s : s + chunk_elems].tobytes())
+        h.update(memoryview(arr[s : s + chunk_elems]))
 
 
 @dataclass(frozen=True)

@@ -148,15 +148,15 @@ class TestBitIdentity:
             B = rng.standard_normal((A.shape[1], 16)).astype(np.float32)
             assert np.array_equal(reference_cell_execute(fmt, B), kernel.execute(fmt, B))
 
-    def test_execute_reuses_cached_slab(self, collection):
+    def test_execute_reuses_cached_operator(self, collection):
         fmt = tuned_compose(collection[0], 1)
         kernel = CELLSpMM()
         B = np.ones((fmt.shape[1], 4), dtype=np.float32)
+        assert "operator" not in vars(fmt)  # built lazily, by execute
         C1 = kernel.execute(fmt, B)
-        _, bucket = next(fmt.iter_buckets())
-        slab_before = bucket.csr_slab
+        S, T = fmt.operator
         C2 = kernel.execute(fmt, B)
-        assert bucket.csr_slab is slab_before  # cached, not rebuilt
+        assert fmt.operator[0] is S and fmt.operator[1] is T  # not rebuilt
         assert np.array_equal(C1, C2)
 
 
@@ -257,3 +257,36 @@ class TestRoundTripProperty:
         assert_formats_identical(
             reference_compose_cell(A, P, 32), tuned_compose(A, P, J=32)
         )
+
+
+@st.composite
+def cell_execute_cases(draw):
+    """A CELL format and operand that exercise every old scatter branch:
+    folds (small caps), several partitions without folds, partitions left
+    empty by a column band, and the all-zero matrix."""
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(4, 40))
+    P = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.9]))
+    mask = rng.random((rows, cols)) < density
+    if draw(st.booleans()):
+        mask[:, cols // 2 :] = False  # the upper partitions stay empty
+    dense = np.where(mask, rng.standard_normal((rows, cols)), 0.0)
+    caps = draw(st.sampled_from([None, 1, 2, 4]))
+    J = draw(st.sampled_from([1, 7, 32, 128]))
+    fmt = CELLFormat.from_matrix(dense, num_partitions=P, max_widths=caps)
+    B = rng.standard_normal((cols, J)).astype(np.float32)
+    return fmt, B
+
+
+class TestExecuteBitIdentityProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(case=cell_execute_cases())
+    def test_execute_bits_match_reference(self, case):
+        fmt, B = case
+        C = CELLSpMM().execute(fmt, B)
+        ref = reference_cell_execute(fmt, B)
+        assert C.dtype == ref.dtype == np.float32 and C.shape == ref.shape
+        assert np.array_equal(C.view(np.uint32), ref.view(np.uint32))

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from repro.bench.reference import reference_cell_sddmm
 from repro.formats import CELLFormat, CSRFormat
 from repro.kernels.sddmm import CELLSDDMM, CSRSDDMM, sddmm_reference
 from repro.matrices import power_law_graph
@@ -60,6 +62,22 @@ class TestKernels:
             fmt = CELLFormat.from_csr(A, num_partitions=P, max_widths=W)
             out = CELLSDDMM().execute(fmt, (U, V))
             _dense_check(A, U, V, out)
+
+    @pytest.mark.parametrize("P,W", [(1, None), (2, None), (1, 2), (3, 4)])
+    def test_cell_sddmm_bits_match_per_bucket_reference(self, matrix_suite, operands, P, W):
+        cases = dict(matrix_suite, zero=sp.csr_matrix((9, 7), dtype=np.float32))
+        for name, A in cases.items():
+            if P > A.shape[1]:
+                continue
+            U, V = operands(*A.shape)
+            fmt = CELLFormat.from_csr(A, num_partitions=P, max_widths=W)
+            out = CELLSDDMM().execute(fmt, (U, V))
+            ref = reference_cell_sddmm(fmt, U, V)
+            assert out.shape == ref.shape, name
+            for field in ("indptr", "indices", "data"):
+                got, want = getattr(out, field), getattr(ref, field)
+                assert got.dtype == want.dtype, (name, field)
+                assert got.tobytes() == want.tobytes(), (name, field)
 
     def test_csr_sddmm_correct(self, matrix_suite, operands):
         for A in matrix_suite.values():

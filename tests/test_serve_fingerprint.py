@@ -32,6 +32,31 @@ class TestDeterminism:
         assert a.key == b.key
 
 
+class TestGoldenDigests:
+    """Plan keys name spill files and place keys on the cluster ring, so
+    a faster hash must not move a single digest."""
+
+    A = power_law_graph(500, 8, seed=1)
+
+    def test_with_values(self):
+        assert (
+            fingerprint_csr(self.A).key
+            == "40bd850f13874a7fe009f78cd681fb3f-500x500-3524"
+        )
+
+    def test_pattern_only(self):
+        assert (
+            fingerprint_csr(self.A, include_values=False).key
+            == "ed19e225e931389723e66c980efb2843-500x500-3524"
+        )
+
+    def test_chunk_sampled(self):
+        assert (
+            fingerprint_csr(self.A, sample_budget_bytes=4096).key
+            == "7216caccac59871b26e74892fc7d0d22-500x500-3524"
+        )
+
+
 class TestCollisionResistance:
     def test_row_permutation_changes_fingerprint(self):
         A = power_law_graph(400, 6, seed=4)
