@@ -139,7 +139,7 @@ def test_ext_cluster_chaos_availability(benchmark, liteform, pool):
             liteform,
             num_shards=4,
             replication=2,
-            device_factory=factory,
+            new_server=lambda i: SpMMServer(liteform=liteform, devices=[factory(i, 0)]),
             seed=31,
         )
         frontend.replay(

@@ -121,9 +121,11 @@ def _load_matrix(spec: str):
 
 
 @contextmanager
-def _maybe_trace(args):
+def _maybe_trace(args, frontend=None):
     """Install a tracer for the command body when ``--trace`` was given;
-    on exit, write the Chrome trace JSON and print a flame summary."""
+    on exit, write the Chrome trace JSON and print a flame summary.  With
+    a cluster ``frontend`` the export is its *merged* multi-lane trace
+    (the frontend owns the per-shard lanes)."""
     path = getattr(args, "trace", None)
     if not path:
         yield None
@@ -134,13 +136,19 @@ def _maybe_trace(args):
         yield tracer
     finally:
         set_tracer(previous)
-        out = tracer.write(path)
-        print(
-            f"trace: {len(tracer.spans)} spans, {tracer.coverage():.1%} of "
-            f"wall time covered, written to {out}",
-            file=sys.stderr,
-        )
-        print(tracer.flame_summary(), file=sys.stderr)
+        if frontend is not None:
+            out = frontend.write_trace(path)
+            lanes = frontend.lanes()
+            print(f"trace: {len(lanes)} lanes ({', '.join(sorted(lanes))}) "
+                  f"merged into {out}", file=sys.stderr)
+        else:
+            out = tracer.write(path)
+            print(
+                f"trace: {len(tracer.spans)} spans, {tracer.coverage():.1%} of "
+                f"wall time covered, written to {out}",
+                file=sys.stderr,
+            )
+            print(tracer.flame_summary(), file=sys.stderr)
 
 
 def _get_liteform(args) -> LiteForm:
@@ -151,46 +159,73 @@ def _get_liteform(args) -> LiteForm:
     return LiteForm().fit(generate_training_data(coll, J_values=(32, 128)))
 
 
-def _make_bandit(args):
-    """Single-node :class:`~repro.serve.FormatBandit` from the serve
-    flags (None when ``--adaptive`` is off).  An existing
-    ``--bandit-state`` file warm-starts the bandit, with this run's
-    flags overriding the saved hyperparameters."""
-    if not getattr(args, "adaptive", False):
+def _fault_injection(args) -> bool:
+    return bool(args.faults or args.death_rate or args.spike_rate)
+
+
+def _device(args, shard: int, index: int) -> SimulatedDevice:
+    """Device ``index`` of node ``shard``: fault-injecting (seeded per
+    device), format-drifting, or plain, per the serve flags."""
+    if _fault_injection(args):
+        from repro.gpu.faults import FaultPolicy, FaultyDevice
+
+        return FaultyDevice(
+            faults=FaultPolicy(
+                transient_oom_rate=args.faults,
+                death_rate=args.death_rate,
+                latency_spike_rate=args.spike_rate,
+                seed=args.seed + 1000 + shard * 100 + index,
+            )
+        )
+    if args.drift_after is not None:
+        from repro.serve import FormatDriftDevice
+
+        return FormatDriftDevice(
+            slow_prefixes=(args.drift_kernel,),
+            slowdown=args.drift_slowdown,
+            shift_after_launches=args.drift_after,
+        )
+    return SimulatedDevice()
+
+
+def _make_bandit(args, shard: int):
+    """Node ``shard``'s :class:`~repro.serve.FormatBandit` from the serve
+    flags (None when ``--adaptive`` is off), seeded ``seed + shard`` so
+    shards explore independently.  An existing ``--bandit-state`` file
+    warm-starts it, with this run's flags overriding the saved
+    hyperparameters."""
+    if not args.adaptive:
         return None
     from repro.serve import FormatBandit
 
-    state_path = getattr(args, "bandit_state", None)
-    if state_path and Path(state_path).exists():
-        bandit = FormatBandit.load(
-            state_path,
-            min_obs=args.bandit_min_obs,
-            explore=args.bandit_explore,
-            seed=args.seed,
-        )
+    params = dict(
+        min_obs=args.bandit_min_obs, explore=args.bandit_explore, seed=args.seed + shard
+    )
+    if args.bandit_state and Path(args.bandit_state).exists():
+        bandit = FormatBandit.load(args.bandit_state, **params)
         print(
-            f"bandit: warm-started from {state_path} "
+            f"bandit: warm-started from {args.bandit_state} "
             f"({bandit.key_observations_total()} observations)",
             file=sys.stderr,
         )
         return bandit
-    return FormatBandit(
-        min_obs=args.bandit_min_obs,
-        explore=args.bandit_explore,
-        seed=args.seed,
-    )
+    return FormatBandit(**params)
 
 
-def _save_bandit(args, bandit) -> None:
-    """Persist a single-node bandit's state after the replay."""
-    state_path = getattr(args, "bandit_state", None)
-    if bandit is None or not state_path:
-        return
-    bandit.save(state_path)
-    print(
-        f"bandit: state saved to {state_path} "
-        f"({bandit.key_observations_total()} observations)",
-        file=sys.stderr,
+def _new_server(args, lf: LiteForm, shard: int, **fields):
+    """Serving node ``shard`` (0 on a single node) as the serve flags
+    describe it; ``fields`` set further :class:`SpMMServer` fields."""
+    from repro.serve import PlanCache, RetryPolicy, SpMMServer
+
+    return SpMMServer(
+        liteform=lf,
+        cache=PlanCache(max_bytes=int(args.cache_mb * 2**20)),
+        devices=[_device(args, shard, d) for d in range(args.devices)],
+        retry=RetryPolicy(max_attempts=args.retries),
+        degrade_on_oom=not args.no_degrade,
+        speculative=args.speculative,
+        bandit=_make_bandit(args, shard),
+        **fields,
     )
 
 
@@ -279,23 +314,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _serve_gnn(args) -> int:
-    """``serve --workload gnn``: replay a seeded multi-epoch GNN forward
-    pass as graph (DAG) requests — one GraphRequest per epoch, each a
-    chain of SDDMM/normalize/SpMM/dense stages (docs/GNN.md)."""
+def _gnn_graphs(args) -> list:
+    """``serve --workload gnn``: a seeded multi-epoch GNN forward pass as
+    graph (DAG) requests — one GraphRequest per epoch, each a chain of
+    SDDMM/normalize/SpMM/dense stages (docs/GNN.md)."""
     from repro.matrices.gnn import GNNWorkloadSpec, generate_gnn_workload
-    from repro.serve import PlanCache, RetryPolicy, SpMMServer
 
-    for flag, name in (
-        (args.kill_shard is not None, "--kill-shard"),
-        (args.slo, "--slo"),
-        (args.slo_report, "--slo-report"),
-        (args.faults or args.death_rate or args.spike_rate, "fault injection"),
-        (args.drift_after is not None, "--drift-after"),
-        (args.bandit_state, "--bandit-state"),
-    ):
-        if flag:
-            raise SystemExit(f"{name} is only supported with --workload zipf")
     spec = GNNWorkloadSpec(
         dataset=args.gnn_dataset,
         model=args.gnn_model,
@@ -307,7 +331,6 @@ def _serve_gnn(args) -> int:
         mean_gap_ms=(1e3 / args.arrival_rate) if args.arrival_rate else 0.0,
         deadline_ms=args.deadline_ms if args.deadline_ms else float("inf"),
     )
-    lf = _get_liteform(args)
     graphs = generate_gnn_workload(spec)
     stages = sum(len(g.stages) for g in graphs)
     print(
@@ -316,86 +339,12 @@ def _serve_gnn(args) -> int:
         f"({stages} stages) ...",
         file=sys.stderr,
     )
-    if args.shards:
-        from repro.gpu.multi import MultiGPUSpec
-        from repro.serve import ClusterFrontend
-
-        frontend = ClusterFrontend(
-            lf,
-            num_shards=args.shards,
-            virtual_nodes=args.virtual_nodes,
-            replication=args.replication,
-            multi_spec=MultiGPUSpec(num_gpus=args.devices),
-            cache_bytes_per_shard=int(args.cache_mb * 2**20),
-            retry=RetryPolicy(max_attempts=args.retries),
-            degrade_on_oom=not args.no_degrade,
-            speculative=args.speculative,
-            adaptive=args.adaptive,
-            bandit_min_obs=args.bandit_min_obs,
-            bandit_explore=args.bandit_explore,
-            seed=args.seed,
-        )
-        trace_path = getattr(args, "trace", None)
-        if trace_path:
-            tracer = Tracer()
-            previous = set_tracer(tracer)
-            try:
-                for g in graphs:
-                    frontend.serve_graph(g)
-            finally:
-                set_tracer(previous)
-            out_path = frontend.write_trace(trace_path)
-            print(f"trace: merged multi-lane trace written to {out_path}",
-                  file=sys.stderr)
-        else:
-            for g in graphs:
-                frontend.serve_graph(g)
-        if args.json:
-            print(json.dumps(frontend.snapshot(), indent=2))
-        else:
-            print(frontend.report())
-        return 0
-    server = SpMMServer(
-        liteform=lf,
-        cache=PlanCache(max_bytes=int(args.cache_mb * 2**20)),
-        num_devices=args.devices,
-        retry=RetryPolicy(max_attempts=args.retries),
-        degrade_on_oom=not args.no_degrade,
-        speculative=args.speculative,
-        bandit=_make_bandit(args),
-    )
-    if args.batch:
-        from repro.serve import Scheduler
-
-        scheduler = Scheduler(
-            server=server,
-            max_batch=args.batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue,
-        )
-        with _maybe_trace(args):
-            scheduler.replay_graphs(graphs)
-        if args.json:
-            print(json.dumps(scheduler.snapshot(), indent=2))
-        else:
-            print(scheduler.report())
-        return 0
-    with _maybe_trace(args):
-        server.serve_graphs(sorted(graphs, key=lambda g: g.arrival_ms))
-    if args.json:
-        print(json.dumps(server.snapshot(), indent=2))
-    else:
-        print(server.report())
-    return 0
+    return graphs
 
 
-def cmd_serve(args) -> int:
-    from repro.serve import PlanCache, RetryPolicy, SpMMServer, WorkloadSpec, generate_workload
+def _zipf_requests(args) -> list:
+    from repro.serve import WorkloadSpec, generate_workload
 
-    if (args.slo or args.slo_report) and not args.shards:
-        raise SystemExit("--slo / --slo-report require --shards (cluster mode)")
-    if args.workload == "gnn":
-        return _serve_gnn(args)
     spec = WorkloadSpec(
         num_requests=args.requests,
         num_matrices=args.matrices,
@@ -408,27 +357,46 @@ def cmd_serve(args) -> int:
         arrival_rate_rps=args.arrival_rate,
         seed=args.seed,
     )
-    lf = _get_liteform(args)
     print(
         f"replaying {spec.num_requests} requests over {spec.num_matrices} "
         f"matrices (Zipf {spec.zipf_s}) ...",
         file=sys.stderr,
     )
-    devices = None
-    if args.faults or args.death_rate or args.spike_rate:
-        from repro.gpu.faults import FaultPolicy, FaultyDevice
+    return generate_workload(spec)
 
-        devices = [
-            FaultyDevice(
-                faults=FaultPolicy(
-                    transient_oom_rate=args.faults,
-                    death_rate=args.death_rate,
-                    latency_spike_rate=args.spike_rate,
-                    seed=args.seed + 1000 + i,
-                )
-            )
-            for i in range(args.devices)
-        ]
+
+def _check_serve_flags(args) -> None:
+    """Reject flag combinations the chosen topology would silently ignore."""
+    if (args.slo or args.slo_report) and not args.shards:
+        raise SystemExit("--slo / --slo-report require --shards (cluster mode)")
+    if args.slo_report and not args.slo:
+        raise SystemExit("--slo-report requires --slo")
+    if args.workload == "gnn":
+        for flag, name in (
+            (args.kill_shard is not None, "--kill-shard"),
+            (args.slo, "--slo"),
+            (args.slo_report, "--slo-report"),
+            (_fault_injection(args), "fault injection"),
+            (args.drift_after is not None, "--drift-after"),
+            (args.bandit_state, "--bandit-state"),
+            (args.batch, "--batch"),
+        ):
+            if flag:
+                raise SystemExit(f"{name} is only supported with --workload zipf")
+    if args.bandit_state and (args.shards or not args.adaptive):
+        raise SystemExit("--bandit-state requires --adaptive on a single node (no --shards)")
+    if _fault_injection(args) and args.drift_after is not None:
+        raise SystemExit("--drift-after cannot combine with fault injection")
+
+
+def cmd_serve(args) -> int:
+    from repro.serve import ClusterFrontend, Scheduler
+
+    _check_serve_flags(args)
+    gnn = args.workload == "gnn"
+    traffic = _gnn_graphs(args) if gnn else _zipf_requests(args)
+    lf = _get_liteform(args)
+    if _fault_injection(args):
         print(
             f"fault injection: transient OOM {args.faults:.1%}, "
             f"death {args.death_rate:.2%}, spikes {args.spike_rate:.1%} "
@@ -437,29 +405,13 @@ def cmd_serve(args) -> int:
             file=sys.stderr,
         )
     if args.drift_after is not None:
-        if devices is not None:
-            raise SystemExit("--drift-after cannot combine with fault injection")
-        from repro.serve import FormatDriftDevice
-
-        devices = [
-            FormatDriftDevice(
-                slow_prefixes=(args.drift_kernel,),
-                slowdown=args.drift_slowdown,
-                shift_after_launches=args.drift_after,
-            )
-            for _ in range(args.devices)
-        ]
         print(
             f"format drift: {args.drift_kernel}* kernels "
             f"{args.drift_slowdown:g}x slower after {args.drift_after} "
             f"launches per device",
             file=sys.stderr,
         )
-    requests = generate_workload(spec)
     if args.shards:
-        from repro.gpu.multi import MultiGPUSpec
-        from repro.serve import ClusterFrontend
-
         slo = None
         if args.slo:
             slo = SLOEngine(
@@ -471,56 +423,18 @@ def cmd_serve(args) -> int:
                 f"burn-rate windows scaled to {args.slo_window_ms:g} ms",
                 file=sys.stderr,
             )
-        device_factory = None
-        if args.faults or args.death_rate or args.spike_rate:
-            from repro.gpu.faults import FaultPolicy, FaultyDevice
-
-            def device_factory(shard_index, device_index):
-                return FaultyDevice(
-                    faults=FaultPolicy(
-                        transient_oom_rate=args.faults,
-                        death_rate=args.death_rate,
-                        latency_spike_rate=args.spike_rate,
-                        seed=args.seed + 1000 + shard_index * 100 + device_index,
-                    )
-                )
-
-        elif args.drift_after is not None:
-            from repro.serve import FormatDriftDevice
-
-            def device_factory(shard_index, device_index):
-                return FormatDriftDevice(
-                    slow_prefixes=(args.drift_kernel,),
-                    slowdown=args.drift_slowdown,
-                    shift_after_launches=args.drift_after,
-                )
-
-        frontend = ClusterFrontend(
+        top = ClusterFrontend(
             lf,
             num_shards=args.shards,
+            new_server=lambda shard: _new_server(args, lf, shard),
             virtual_nodes=args.virtual_nodes,
             replication=args.replication,
-            multi_spec=MultiGPUSpec(num_gpus=args.devices),
-            device_factory=device_factory,
-            cache_bytes_per_shard=int(args.cache_mb * 2**20),
             batch=args.batch,
             max_wait_ms=args.max_wait_ms,
             max_queue=args.max_queue,
-            retry=RetryPolicy(max_attempts=args.retries),
-            degrade_on_oom=not args.no_degrade,
-            speculative=args.speculative,
-            adaptive=args.adaptive,
-            bandit_min_obs=args.bandit_min_obs,
-            bandit_explore=args.bandit_explore,
             seed=args.seed,
             slo=slo,
         )
-        if args.adaptive:
-            print(
-                f"adaptive: per-shard bandits (min_obs={args.bandit_min_obs}, "
-                f"explore={args.bandit_explore:g})",
-                file=sys.stderr,
-            )
         chaos = (
             f", killing a shard at {args.kill_shard:g} ms"
             if args.kill_shard is not None
@@ -531,82 +445,47 @@ def cmd_serve(args) -> int:
             f"replication {args.replication}{chaos}",
             file=sys.stderr,
         )
-        # Cluster tracing bypasses _maybe_trace: the frontend owns the
-        # per-shard lanes, so the export must be the *merged* multi-lane
-        # trace, not the frontend lane alone.
-        trace_path = getattr(args, "trace", None)
-        if trace_path:
-            tracer = Tracer()
-            previous = set_tracer(tracer)
-            try:
-                frontend.replay(requests, kill_shard_at_ms=args.kill_shard)
-            finally:
-                set_tracer(previous)
-            out_path = frontend.write_trace(trace_path)
-            lanes = frontend.lanes()
+        with _maybe_trace(args, top):
+            if gnn:
+                for graph in traffic:
+                    top.serve_graph(graph)
+            else:
+                top.replay(traffic, kill_shard_at_ms=args.kill_shard)
+        if args.slo_report:
+            report_path = Path(args.slo_report)
+            report_path.write_text(json.dumps(top.slo.snapshot(), indent=2) + "\n")
+            print(f"SLO report written to {report_path}", file=sys.stderr)
+    else:
+        server = _new_server(args, lf, 0)
+        top = server
+        if args.batch:
+            top = Scheduler(
+                server=server,
+                max_batch=args.batch,
+                max_wait_ms=args.max_wait_ms,
+                max_queue=args.max_queue,
+            )
+        # The trace region covers exactly the replay, so the exported spans
+        # account for (nearly) all of the traced wall time.
+        with _maybe_trace(args):
+            if gnn:
+                server.serve_graphs(sorted(traffic, key=lambda g: g.arrival_ms))
+            else:
+                top.replay(traffic)
+        if args.bandit_state:
+            server.bandit.save(args.bandit_state)
             print(
-                f"trace: {len(lanes)} lanes "
-                f"({', '.join(sorted(lanes))}) merged into {out_path}",
+                f"bandit: state saved to {args.bandit_state} "
+                f"({server.bandit.key_observations_total()} observations)",
                 file=sys.stderr,
             )
-        else:
-            frontend.replay(requests, kill_shard_at_ms=args.kill_shard)
-        if args.slo_report:
-            if frontend.slo is None:
-                raise SystemExit("--slo-report requires --slo")
-            report_path = Path(args.slo_report)
-            report_path.write_text(
-                json.dumps(frontend.slo.snapshot(), indent=2) + "\n"
-            )
-            print(f"SLO report written to {report_path}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(frontend.snapshot(), indent=2))
-        else:
-            print(frontend.report())
-        return 0
-    bandit = _make_bandit(args)
-    server = SpMMServer(
-        liteform=lf,
-        cache=PlanCache(max_bytes=int(args.cache_mb * 2**20)),
-        num_devices=args.devices,
-        devices=devices,
-        retry=RetryPolicy(max_attempts=args.retries),
-        degrade_on_oom=not args.no_degrade,
-        speculative=args.speculative,
-        bandit=bandit,
-    )
-    if args.batch:
-        from repro.serve import Scheduler
-
-        scheduler = Scheduler(
-            server=server,
-            max_batch=args.batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue,
-        )
-        with _maybe_trace(args):
-            scheduler.replay(requests)
-        _save_bandit(args, bandit)
-        if args.json:
-            print(json.dumps(scheduler.snapshot(), indent=2))
-        else:
-            print(scheduler.report())
-        return 0
-    # The trace region covers exactly the replay, so the exported spans
-    # account for (nearly) all of the traced wall time.
-    with _maybe_trace(args):
-        server.replay(requests)
-    _save_bandit(args, bandit)
-    if args.json:
-        print(json.dumps(server.snapshot(), indent=2))
-    else:
-        print(server.report())
+    print(json.dumps(top.snapshot(), indent=2) if args.json else top.report())
     return 0
 
 
 def cmd_stats(args) -> int:
     """Replay a short workload and dump the process-wide metrics registry."""
-    from repro.serve import PlanCache, SpMMServer, WorkloadSpec, generate_workload
+    from repro.serve import WorkloadSpec, generate_workload
     from repro.serve.metrics import ServerMetrics
 
     registry = get_registry()
@@ -645,11 +524,9 @@ def cmd_stats(args) -> int:
             # frontend.report() already carries the attribution section.
             print(frontend.report())
         return 0
-    server = SpMMServer(
-        liteform=lf,
-        cache=PlanCache(),
-        metrics=ServerMetrics(registry=registry),
-    )
+    # A default serve node, reporting into the process-wide registry.
+    node = build_parser().parse_args(["serve"])
+    server = _new_server(node, lf, 0, metrics=ServerMetrics(registry=registry))
     print(f"replaying {spec.num_requests} measure-only requests ...", file=sys.stderr)
     server.replay(generate_workload(spec))
     if args.json:
@@ -744,6 +621,9 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.serve.adaptive import DEFAULT_EXPLORE, DEFAULT_MIN_OBS
+    from repro.serve.cluster.ring import DEFAULT_VIRTUAL_NODES
+
     p = argparse.ArgumentParser(prog="repro.cli", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -825,17 +705,17 @@ def build_parser() -> argparse.ArgumentParser:
                          "Thompson-sampling bandit over CELL/CSR/BCSR "
                          "overrides the static selector once a key has "
                          "enough reward (docs/ADAPTIVE.md)")
-    sp.add_argument("--bandit-min-obs", type=int, default=3, metavar="N",
+    sp.add_argument("--bandit-min-obs", type=int, default=DEFAULT_MIN_OBS, metavar="N",
                     help="per-key observations before the bandit overrides "
                          "the static selector (--adaptive)")
-    sp.add_argument("--bandit-explore", type=float, default=0.05,
+    sp.add_argument("--bandit-explore", type=float, default=DEFAULT_EXPLORE,
                     metavar="PROB",
                     help="pre-handoff probability of playing a random arm "
                          "(--adaptive)")
     sp.add_argument("--bandit-state", metavar="PATH",
                     help="persist bandit state here after the replay (loaded "
-                         "first when the file already exists; --adaptive, "
-                         "single-node)")
+                         "first when the file already exists); requires "
+                         "--adaptive on a single node")
     sp.add_argument("--drift-after", type=int, default=None, metavar="N",
                     help="chaos: after N kernel launches the device runs "
                          "kernels matching --drift-kernel "
@@ -850,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip numeric execution, time the kernels only")
     sp.add_argument("--batch", type=int, default=0, metavar="N",
                     help="coalesce up to N same-plan requests per launch "
-                         "via the open-loop batched scheduler (0 = off)")
+                         "via the open-loop batched scheduler (0 = off; "
+                         "--workload zipf)")
     sp.add_argument("--max-wait-ms", type=float, default=2.0,
                     help="longest simulated wait before a partial batch "
                          "dispatches anyway")
@@ -862,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "one server (0 = single node)")
     sp.add_argument("--replication", type=int, default=1, metavar="K",
                     help="replicate hot fingerprints to K shards (cluster mode)")
-    sp.add_argument("--virtual-nodes", type=int, default=64, metavar="V",
+    sp.add_argument("--virtual-nodes", type=int, default=DEFAULT_VIRTUAL_NODES, metavar="V",
                     help="virtual nodes per shard on the consistent-hash ring")
     sp.add_argument("--kill-shard", type=float, default=None, metavar="AT_MS",
                     help="chaos: kill the busiest shard once the replay "

@@ -2,11 +2,11 @@
 
 Everything below the frontend already exists: each shard is a full
 :class:`~repro.serve.server.SpMMServer` (plan cache, admission control,
-retries, breakers, OOM degradation) — optionally wrapped in a
-:class:`~repro.serve.scheduler.Scheduler` for fingerprint-coalesced
-micro-batching — over its own partition of the simulated device pool
-(per-shard :class:`~repro.gpu.multi.MultiGPUSpec`).  The frontend adds
-the fleet layer on top:
+retries, breakers, OOM degradation) built by the caller's
+``new_server(shard_index)`` factory over its own device pool —
+optionally wrapped in a :class:`~repro.serve.scheduler.Scheduler` for
+fingerprint-coalesced micro-batching.  The frontend adds the fleet
+layer on top:
 
 * **cache-aware routing** — requests are fingerprinted once and routed
   through a :class:`~repro.serve.cluster.ring.ShardRing`, so every
@@ -44,6 +44,7 @@ serves a request — the cluster benchmark asserts exactly this.
 from __future__ import annotations
 
 import tempfile
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,8 +53,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.pipeline import LiteForm
-from repro.gpu.device import SimulatedDevice
-from repro.gpu.multi import MultiGPUSpec
 from repro.obs import (
     SLOEngine,
     TraceContext,
@@ -63,13 +62,12 @@ from repro.obs import (
     set_tracer,
     write_merged,
 )
-from repro.serve.adaptive import DEFAULT_EXPLORE, DEFAULT_MIN_OBS, FormatBandit
-from repro.serve.cluster.hotkeys import DEFAULT_WINDOW, WindowedFrequencySketch
+from repro.serve.adaptive import FormatBandit
+from repro.serve.cluster.hotkeys import WindowedFrequencySketch
 from repro.serve.cluster.metrics import ClusterMetrics
 from repro.serve.cluster.ring import DEFAULT_VIRTUAL_NODES, ShardRing
 from repro.serve.fingerprint import fingerprint_csr, plan_key
-from repro.serve.plan_cache import DEFAULT_MAX_BYTES, CacheEntry, PlanCache
-from repro.serve.resilience import RetryPolicy
+from repro.serve.plan_cache import CacheEntry, PlanCache
 from repro.serve.scheduler import Scheduler
 from repro.serve.server import OpRequest, OpResponse, SpMMServer
 
@@ -96,7 +94,6 @@ class _Shard:
     shard_id: str
     server: SpMMServer
     scheduler: Scheduler | None
-    num_devices: int
     pending: list[_Pending] = field(default_factory=list)
     alive: bool = True
     #: Routing decisions that chose this shard.
@@ -109,7 +106,7 @@ class _Shard:
     @property
     def busy_ms(self) -> float:
         """Simulated busy time normalized by the shard's pool width."""
-        return self.exec_busy_ms / max(1, self.num_devices)
+        return self.exec_busy_ms / len(self.server.devices)
 
 
 @dataclass(frozen=True)
@@ -150,42 +147,31 @@ class ClusterFrontend:
         liteform: LiteForm,
         num_shards: int = 4,
         *,
+        new_server: Callable[[int], SpMMServer] | None = None,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         replication: int = 1,
-        hot_window: int = DEFAULT_WINDOW,
         hot_fraction: float = 0.1,
         hot_min_count: int = 4,
-        multi_spec: MultiGPUSpec | None = None,
-        device_factory=None,
-        cache_bytes_per_shard: int = DEFAULT_MAX_BYTES,
         batch: int = 0,
         max_wait_ms: float = 2.0,
         max_queue: int | None = None,
-        retry: RetryPolicy | None = None,
-        degrade_on_oom: bool = True,
-        speculative: bool = False,
-        adaptive: bool = False,
-        bandit_min_obs: int = DEFAULT_MIN_OBS,
-        bandit_explore: float = DEFAULT_EXPLORE,
-        reroute_on_failure: bool = True,
         spill_dir: str | Path | None = None,
         seed: int = 0,
         metrics: ClusterMetrics | None = None,
         slo: SLOEngine | bool | None = None,
     ):
-        """``num_shards`` initial shards, each with its own plan cache and
-        a device pool described by ``multi_spec`` (``num_gpus`` devices of
-        ``multi_spec.gpu`` per shard; default one V100-class device).
+        """``num_shards`` initial shards, each a server built by
+        ``new_server(shard_index)`` — its own plan cache, device pool,
+        retry policy and optional format bandit; the default is
+        ``SpMMServer(liteform=liteform)``.  Shards added later by
+        :meth:`add_shard` come from the same factory.
 
-        ``device_factory(shard_index, device_index) -> SimulatedDevice``
-        overrides device construction — the hook fault injection uses to
-        hand each shard :class:`~repro.gpu.faults.FaultyDevice` instances
-        with independent seeds.  ``replication`` > 1 enables hot-key
-        replication (a fingerprint above ``hot_fraction`` of the last
-        ``hot_window`` requests is replicated to that many shards);
-        ``batch`` > 0 puts a coalescing :class:`Scheduler` in front of
-        every shard.  ``spill_dir`` holds the migration bundles (a fresh
-        temp directory by default).
+        ``replication`` > 1 enables hot-key replication (a fingerprint
+        above ``hot_fraction`` of the last
+        :data:`~repro.serve.cluster.hotkeys.DEFAULT_WINDOW` requests is
+        replicated to that many shards); ``batch`` > 0 puts a coalescing
+        :class:`Scheduler` in front of every shard.  ``spill_dir`` holds
+        the migration bundles (a fresh temp directory by default).
 
         ``slo`` attaches a burn-rate alerting engine
         (:class:`repro.obs.SLOEngine`; ``True`` = the stock objectives)
@@ -200,26 +186,13 @@ class ClusterFrontend:
             raise ValueError(f"replication must be >= 1, got {replication}")
         if not 0.0 < hot_fraction <= 1.0:
             raise ValueError(f"hot_fraction must be in (0, 1], got {hot_fraction}")
-        self.liteform = liteform
+        self.new_server = new_server or (lambda _index: SpMMServer(liteform=liteform))
         self.replication = int(replication)
         self.hot_fraction = float(hot_fraction)
         self.hot_min_count = int(hot_min_count)
-        self.multi_spec = multi_spec or MultiGPUSpec(num_gpus=1)
-        self.device_factory = device_factory
-        self.cache_bytes_per_shard = int(cache_bytes_per_shard)
         self.batch = int(batch)
         self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
-        self.retry = retry or RetryPolicy()
-        self.degrade_on_oom = degrade_on_oom
-        self.speculative = speculative
-        self.adaptive = adaptive
-        self.bandit_min_obs = int(bandit_min_obs)
-        self.bandit_explore = float(bandit_explore)
-        #: Base seed of per-shard bandit RNGs (offset by shard index so
-        #: shards explore independently but deterministically).
-        self._bandit_seed = int(seed)
-        self.reroute_on_failure = reroute_on_failure
         self.metrics = metrics or ClusterMetrics()
         if slo is True:
             slo = SLOEngine(registry=self.metrics.registry)
@@ -235,7 +208,7 @@ class ClusterFrontend:
         #: Virtual time of the replay (feeds SLO evaluation windows).
         self._clock_ms = 0.0
         self.ring = ShardRing(virtual_nodes=virtual_nodes)
-        self._sketch = WindowedFrequencySketch(window=hot_window)
+        self._sketch = WindowedFrequencySketch()
         self._rng = np.random.default_rng(seed)
         self._shards: dict[str, _Shard] = {}
         self._next_shard_index = 0
@@ -271,33 +244,7 @@ class ClusterFrontend:
     def _new_shard(self) -> _Shard:
         index = self._next_shard_index
         self._next_shard_index += 1
-        shard_id = f"shard-{index}"
-        if self.device_factory is not None:
-            devices = [
-                self.device_factory(index, d)
-                for d in range(self.multi_spec.num_gpus)
-            ]
-        else:
-            devices = [
-                SimulatedDevice(spec=self.multi_spec.gpu)
-                for _ in range(self.multi_spec.num_gpus)
-            ]
-        bandit = None
-        if self.adaptive:
-            bandit = FormatBandit(
-                min_obs=self.bandit_min_obs,
-                explore=self.bandit_explore,
-                seed=self._bandit_seed + index,
-            )
-        server = SpMMServer(
-            liteform=self.liteform,
-            cache=PlanCache(max_bytes=self.cache_bytes_per_shard),
-            devices=devices,
-            retry=self.retry,
-            degrade_on_oom=self.degrade_on_oom,
-            speculative=self.speculative,
-            bandit=bandit,
-        )
+        server = self.new_server(index)
         scheduler = None
         if self.batch:
             scheduler = Scheduler(
@@ -306,12 +253,7 @@ class ClusterFrontend:
                 max_wait_ms=self.max_wait_ms,
                 max_queue=self.max_queue,
             )
-        return _Shard(
-            shard_id=shard_id,
-            server=server,
-            scheduler=scheduler,
-            num_devices=len(devices),
-        )
+        return _Shard(shard_id=f"shard-{index}", server=server, scheduler=scheduler)
 
     def _live(self) -> list[_Shard]:
         """Live shards in ring (sorted-id) order."""
@@ -471,11 +413,9 @@ class ClusterFrontend:
     ) -> Path | None:
         """Write the donors' bandit state for ``keys`` as a sidecar next
         to the plan spill bundle (None when no donor has evidence)."""
-        carrier = FormatBandit(
-            min_obs=self.bandit_min_obs,
-            explore=self.bandit_explore,
-            seed=self._bandit_seed,
-        )
+        # merge_state adopts only per-key stats, so the carrier's own
+        # hyperparameters never reach the receiving bandit.
+        carrier = FormatBandit()
         for donor in self._live():
             if donor is target or donor.server.bandit is None:
                 continue
@@ -489,16 +429,16 @@ class ClusterFrontend:
     def _transfer(self, entries: list[CacheEntry], shard: _Shard) -> int:
         """Move entries to ``shard`` through one save/load spill bundle.
 
-        With adaptive serving on, the donors' bandit state for the moved
-        keys travels as a ``.bandit`` sidecar of the spill bundle, so the
-        receiving shard's bandit starts from the fleet's accumulated
-        reward instead of re-exploring from scratch.
+        When the receiving shard runs a format bandit, the donors' bandit
+        state for the moved keys travels as a ``.bandit`` sidecar of the
+        spill bundle, so the receiving shard's bandit starts from the
+        fleet's accumulated reward instead of re-exploring from scratch.
         """
         if not entries:
             return 0
         path = self._spill(entries)
         bandit_path = None
-        if self.adaptive and shard.server.bandit is not None:
+        if shard.server.bandit is not None:
             bandit_path = self._spill_bandit_state(
                 [e.key for e in entries], shard, path
             )
@@ -663,7 +603,7 @@ class ClusterFrontend:
                     else not response.deadline_missed
                 ),
             )
-        if response.failed and self.reroute_on_failure:
+        if response.failed:
             item.excluded.add(shard.shard_id)
             target = next(
                 (
@@ -876,8 +816,7 @@ class ClusterFrontend:
                 if (index + 1) % self.REPLAY_CHUNK == 0:
                     self.drain()
             self.drain()
-            if self.speculative:
-                self.wait_for_speculation()
+            self.wait_for_speculation()
         return self.metrics
 
     def wait_for_speculation(self, timeout: float | None = None) -> int:
@@ -940,7 +879,7 @@ class ClusterFrontend:
                 {
                     "shard_id": shard_id,
                     "alive": s.alive,
-                    "devices": s.num_devices,
+                    "devices": len(s.server.devices),
                     "routed": s.routed,
                     "completed": s.completed,
                     "busy_ms": s.busy_ms,

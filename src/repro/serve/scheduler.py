@@ -339,20 +339,6 @@ class Scheduler:
             self.server.wait_for_speculation()
         return self.metrics
 
-    # -- DAG (graph) requests --------------------------------------------
-    def serve_graph(self, graph):
-        """Serve one :class:`repro.serve.graph.GraphRequest` on this
-        scheduler's server (graphs carry their own stage ordering, so
-        they bypass the arrival queue)."""
-        return self.server.serve_graph(graph)
-
-    def replay_graphs(self, graphs) -> list:
-        """Replay graph requests in arrival order with cross-graph
-        per-stage coalescing: same-wave SpMM stages sharing one plan key
-        fuse into a single launch (:meth:`SpMMServer.serve_graphs`)."""
-        ordered = sorted(graphs, key=lambda g: g.arrival_ms)
-        return self.server.serve_graphs(ordered)
-
     # ------------------------------------------------------------------
     def _run(self) -> None:
         """The discrete-event loop (virtual milliseconds).

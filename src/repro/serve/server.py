@@ -75,6 +75,9 @@ _log = logging.getLogger(__name__)
 #: the structural-reuse ("re-value") rebuild path.
 _MAX_STRUCTURES = 512
 
+#: Smoothing factor of the per-nnz composition-cost estimate.
+_OVERHEAD_EWMA_ALPHA = 0.3
+
 
 class ResponseStatus(str, Enum):
     """Structured outcome of one served request.
@@ -247,10 +250,8 @@ class SpMMServer:
 
     liteform: LiteForm
     cache: PlanCache = field(default_factory=PlanCache)
-    devices: list[SimulatedDevice] | None = None
-    num_devices: int = 1
-    #: Smoothing factor of the per-nnz composition-cost estimate.
-    overhead_ewma_alpha: float = 0.3
+    #: The device pool (homogeneous; its length sizes the pool).
+    devices: list[SimulatedDevice] = field(default_factory=lambda: [SimulatedDevice()])
     metrics: ServerMetrics = field(default_factory=ServerMetrics)
     #: Bounded-retry policy for transient execution faults.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -276,10 +277,6 @@ class SpMMServer:
     bandit_retrain_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.devices is None:
-            if self.num_devices < 1:
-                raise ValueError(f"num_devices must be >= 1, got {self.num_devices}")
-            self.devices = [SimulatedDevice() for _ in range(self.num_devices)]
         if not self.devices:
             raise ValueError("device pool must not be empty")
         self._slots = [
@@ -328,7 +325,7 @@ class SpMMServer:
         if self._compose_s_per_nnz is None:
             self._compose_s_per_nnz = rate
         else:
-            a = self.overhead_ewma_alpha
+            a = _OVERHEAD_EWMA_ALPHA
             self._compose_s_per_nnz = a * rate + (1 - a) * self._compose_s_per_nnz
 
     @staticmethod

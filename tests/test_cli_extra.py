@@ -80,3 +80,21 @@ class TestCompareOOMReference:
         for line in out.splitlines():
             if line.startswith(("sputnik", "liteform")):
                 assert "-" in line.split()[2] or line.split()[2] == "-"
+
+
+class TestServeFlagChecks:
+    """``serve`` rejects flags its topology would silently ignore."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shards", "2", "--adaptive", "--bandit-state", "b.pkl"], "--bandit-state requires"),
+            (["--bandit-state", "b.pkl"], "--bandit-state requires"),
+            (["--workload", "gnn", "--batch", "4"], "--batch is only supported with --workload zipf"),
+            (["--faults", "0.1", "--drift-after", "5"], "cannot combine"),
+            (["--shards", "2", "--slo-report", "r.json"], "--slo-report requires --slo"),
+        ],
+    )
+    def test_rejected_before_serving(self, flags, message):
+        with pytest.raises(SystemExit, match=message):
+            cli_main(["serve", *flags])

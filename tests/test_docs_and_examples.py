@@ -32,6 +32,50 @@ class TestExamples:
         assert doc and len(doc) > 40, path.name
 
 
+class TestServingConstructorCalls:
+    """Examples and benchmarks are not imported by tier-1, so a removed
+    serving-constructor keyword would only surface when they run.  Check
+    every ``SpMMServer(`` / ``Scheduler(`` / ``ClusterFrontend(`` call in
+    them against the live signature instead."""
+
+    SCRIPTS = sorted(
+        [*(REPO / "examples").glob("*.py"), *(REPO / "benchmarks").glob("*.py")]
+    )
+
+    @staticmethod
+    def _calls(tree):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("SpMMServer", "Scheduler", "ClusterFrontend"):
+                yield name, node
+
+    def test_scripts_construct_serving_objects(self):
+        names = {
+            name
+            for path in self.SCRIPTS
+            for name, _ in self._calls(ast.parse(path.read_text()))
+        }
+        assert names == {"SpMMServer", "Scheduler", "ClusterFrontend"}
+
+    @pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
+    def test_keywords_match_signatures(self, path):
+        import inspect
+
+        import repro.serve as serve
+
+        for name, call in self._calls(ast.parse(path.read_text())):
+            signature = inspect.signature(getattr(serve, name))
+            positional = [None] * sum(not isinstance(a, ast.Starred) for a in call.args)
+            keywords = {kw.arg: None for kw in call.keywords if kw.arg is not None}
+            try:
+                signature.bind_partial(*positional, **keywords)
+            except TypeError as err:
+                pytest.fail(f"{path.name}:{call.lineno}: {name}(...): {err}")
+
+
 class TestModuleInventory:
     """Every module DESIGN.md's inventory references must import."""
 

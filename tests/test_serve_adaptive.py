@@ -251,9 +251,10 @@ class TestClusterMigration:
         frontend = ClusterFrontend(
             liteform=liteform,
             num_shards=2,
+            new_server=lambda i: SpMMServer(
+                liteform=liteform, bandit=FormatBandit(min_obs=2, seed=7 + i)
+            ),
             seed=7,
-            adaptive=True,
-            bandit_min_obs=2,
         )
         requests = generate_workload(SPEC)
         for r in requests:

@@ -163,8 +163,9 @@ class TestChaos:
         fe = ClusterFrontend(
             liteform,
             num_shards=3,
-            device_factory=factory,
-            retry=RetryPolicy(max_attempts=1),
+            new_server=lambda i: SpMMServer(
+                liteform=liteform, devices=[factory(i, 0)], retry=RetryPolicy(max_attempts=1)
+            ),
         )
         m = fe.replay(_requests(_matrices(6), 30))
         assert m.failed == 0
@@ -283,9 +284,10 @@ class TestBatchedMode:
         fe = ClusterFrontend(
             liteform,
             num_shards=3,
+            new_server=lambda i: SpMMServer(
+                liteform=liteform, devices=[factory(i, 0)], retry=RetryPolicy(max_attempts=1)
+            ),
             batch=4,
-            device_factory=factory,
-            retry=RetryPolicy(max_attempts=1),
         )
         reqs = _requests(_matrices(6), 30)
         for r in reqs:

@@ -23,6 +23,7 @@ from repro.serve import (
     OpRequest,
     OpStage,
     PlanCache,
+    ResponseStatus,
     Scheduler,
     SpMMServer,
     plan_key,
@@ -318,6 +319,23 @@ class TestWaveReplay:
     def test_empty_wave(self, server):
         assert server.serve_graphs([]) == []
 
+    @pytest.mark.parametrize("path", ["serve_graph", "serve_graphs"])
+    def test_graph_deadline_applies_on_both_paths(self, liteform, path):
+        """Once a compose has warmed the admission estimate, an
+        unreachable graph deadline degrades the graph on either path."""
+        server = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
+        server.serve(OpRequest(matrix=power_law_graph(300, 5, seed=2), B=None, J=16))
+        assert server.estimate_compose_s(1) is not None
+        spec = GNNWorkloadSpec(layers=1, epochs=1, feature_dim=16, hidden_dim=16, seed=6)
+        (graph,) = generate_gnn_workload(spec)
+        graph.deadline_ms = 1e-6
+        if path == "serve_graph":
+            response = server.serve_graph(graph)
+        else:
+            (response,) = server.serve_graphs([graph])
+        assert response.status is ResponseStatus.DEGRADED
+        assert server.metrics.degraded >= 1
+
 
 class TestWorkloadGenerator:
     def test_deterministic(self):
@@ -367,15 +385,6 @@ class TestRoutingKey:
 
 
 class TestSchedulerAndCluster:
-    def test_scheduler_serves_graphs(self, liteform):
-        server = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
-        scheduler = Scheduler(server=server, max_batch=4)
-        spec = GNNWorkloadSpec(layers=1, epochs=2, feature_dim=16,
-                               hidden_dim=16, mean_gap_ms=2.0, seed=6)
-        responses = scheduler.replay_graphs(generate_gnn_workload(spec))
-        assert len(responses) == 2 and all(r.ok for r in responses)
-        assert server.metrics.graphs == 2
-
     def test_scheduler_does_not_coalesce_across_ops(self, liteform):
         """Same matrix, same J: an sddmm and an spmm request must land in
         different batches (distinct (fingerprint, op, J) keys)."""
