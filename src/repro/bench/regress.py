@@ -497,13 +497,17 @@ def _bench_gnn(repeats: int) -> Iterator[Metric]:
         seed=23,
     )
 
+    derived = get_registry().get("kernel_stats_derived_total")
     last = None
+    last_derived = 0.0
 
     def replay():
-        nonlocal last
+        nonlocal last, last_derived
+        before = derived.value
         server = SpMMServer(liteform=liteform, cache=PlanCache())
         responses = [server.serve_graph(g) for g in generate_gnn_workload(spec)]
         last = (server, responses)
+        last_derived = derived.value - before
         return server
 
     yield Metric("gnn.replay.wall_ms", _median_wall_ms(replay, repeats), "wall", "ms")
@@ -516,6 +520,9 @@ def _bench_gnn(repeats: int) -> Iterator[Metric]:
         "gnn.full_composes", float(m.cache_misses - m.plan_reuses), "exact"
     )
     yield Metric("gnn.plan_reuses", float(m.plan_reuses), "exact")
+    # Launch stats depend on the pattern only: re-valued plans share the
+    # full compose's, so revalues add no derivation.
+    yield Metric("gnn.stats_derivations", last_derived, "exact")
     checksum = float(
         sum(float(np.asarray(r.output, dtype=np.float64).sum()) for r in responses)
     )

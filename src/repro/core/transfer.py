@@ -11,6 +11,8 @@ device-specific biases while its pattern knowledge is retained.
 
 from __future__ import annotations
 
+import copy
+
 from repro.core.pipeline import LiteForm
 from repro.core.training import TrainingData
 
@@ -63,6 +65,12 @@ def refit_format_selector(
     samples are up-weighted ``target_weight`` times against it; without,
     the selector is fit on serving samples alone.  Returns the number of
     samples fit on.
+
+    The fit runs on a copy that then replaces ``liteform.selector``:
+    other threads (a speculative compose, every cluster shard) may be
+    predicting with the current selector, which is never mutated.  The
+    copy carries the selector's random state, so the result is the same
+    as fitting in place.
     """
     if not target.format_samples:
         raise ValueError("target data must contain at least one format sample")
@@ -70,5 +78,7 @@ def refit_format_selector(
         combined = transfer_training_data(source, target, target_weight)
     else:
         combined = target
-    liteform.selector.fit(combined.format_X, combined.format_y)
+    selector = copy.deepcopy(liteform.selector)
+    selector.fit(combined.format_X, combined.format_y)
+    liteform.selector = selector
     return len(combined.format_samples)

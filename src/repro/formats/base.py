@@ -106,6 +106,24 @@ class SparseFormat(abc.ABC):
         state.pop("operator", None)
         return state
 
+    # -- pattern templates (see PatternTemplate) ------------------------
+    def _value_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix ``(row, col)`` of every stored value slot, flattened in
+        storage order.  A slot whose position is not in the pattern (or
+        whose column is outside ``[0, cols)``, like CELL's ``PAD``) is a
+        pad."""
+        raise NotImplementedError(f"{type(self).__name__} has no pattern template")
+
+    def _structure(self) -> tuple:
+        """Every array and scalar of the format except its values."""
+        raise NotImplementedError(f"{type(self).__name__} has no pattern template")
+
+    @classmethod
+    def _from_structure(cls, structure: tuple, values: np.ndarray) -> "SparseFormat":
+        """The format of ``structure`` holding ``values`` (flat, storage
+        order, pads zero).  Index arrays are shared, not copied."""
+        raise NotImplementedError(f"{cls.__name__} has no pattern template")
+
     @classmethod
     @abc.abstractmethod
     def from_csr(cls, A: sp.csr_matrix, **kwargs) -> "SparseFormat":
@@ -145,3 +163,76 @@ class SparseFormat(abc.ABC):
             f"{type(self).__name__}(shape={self.shape}, nnz={self.nnz}, "
             f"padding={self.padding_ratio:.2%})"
         )
+
+
+class PatternTemplate:
+    """A built format's structure, kept to re-value matrices of one pattern.
+
+    Launch statistics and every index array of a format depend on the
+    sparsity pattern only, so a matrix with the same ``indptr``/``indices``
+    and new values needs neither a rebuild nor new statistics.  The
+    template holds the pattern it was built from, the format's index
+    arrays (never a value array), the format's stats memo, and a gather
+    index ``perm``: the format's values are ``A.data[perm]``, with pad
+    slots (``perm == nnz``) set to zero.  ``perm`` is None where it is the
+    identity (CSR).
+
+    ``A`` is the canonical CSR matrix ``fmt`` was built from.
+    :meth:`revalue` builds a new format that shares the index arrays and
+    the stats memo, so its kernels hit the memo at once.  It accepts only
+    a matrix whose pattern equals the template's byte for byte.
+    """
+
+    def __init__(self, fmt: SparseFormat, A: sp.csr_matrix):
+        if not A.has_canonical_format:
+            raise ValueError("a pattern template needs canonical CSR")
+        self.fmt_cls = type(fmt)
+        self.shape = fmt.shape
+        self.indptr = A.indptr.copy()
+        self.indices = A.indices.copy()
+        self.stats_memo = fmt._stats_memo
+        self.structure = fmt._structure()
+        self.perm = self._gather_index(fmt, A)
+
+    @staticmethod
+    def _gather_index(fmt: SparseFormat, A: sp.csr_matrix) -> np.ndarray | None:
+        """``perm`` of ``fmt``: each slot's position in ``A.data`` (``nnz``
+        for a pad), found by matching its ``(row, col)`` in ``A``."""
+        rows, cols = fmt._value_slots()
+        I, K = A.shape
+        nnz = A.nnz
+        row_of = np.repeat(np.arange(I, dtype=np.int64), np.diff(A.indptr))
+        keys = row_of * K + A.indices  # ascending: A is canonical
+        real = np.flatnonzero((cols >= 0) & (cols < K))
+        slot_keys = rows[real].astype(np.int64) * K + cols[real]
+        pos = np.minimum(np.searchsorted(keys, slot_keys), max(nnz - 1, 0))
+        hit = keys[pos] == slot_keys if nnz else np.zeros(0, dtype=bool)
+        if np.count_nonzero(hit) != nnz:
+            raise ValueError("the format was not built from this matrix")
+        perm = np.full(rows.size, nnz, dtype=np.intp)
+        perm[real[hit]] = pos[hit]
+        if perm.size == nnz and np.array_equal(perm, np.arange(nnz)):
+            return None
+        return perm
+
+    def matches(self, A: sp.csr_matrix) -> bool:
+        """Whether ``A`` has exactly this template's pattern.
+
+        Compares the arrays, not a digest: pattern digests of large arrays
+        are chunk-sampled, and a false match would give wrong numerics."""
+        return (
+            A.shape == self.shape
+            and np.array_equal(A.indptr, self.indptr)
+            and np.array_equal(A.indices, self.indices)
+        )
+
+    def revalue(self, A: sp.csr_matrix) -> SparseFormat:
+        """The template's format holding ``A``'s values: one gather."""
+        if not self.matches(A):
+            raise ValueError("matrix pattern differs from the template's")
+        data = np.asarray(A.data, dtype=VALUE_DTYPE)
+        if self.perm is not None:
+            data = np.concatenate((data, np.zeros(1, dtype=VALUE_DTYPE)))[self.perm]
+        fmt = self.fmt_cls._from_structure(self.structure, data)
+        fmt.__dict__["_stats_memo"] = self.stats_memo
+        return fmt

@@ -67,6 +67,22 @@ class BCSRFormat(SparseFormat):
             nnz=int(A.nnz),
         )
 
+    def _value_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        bh, bw = self.block_shape
+        block_row = np.repeat(np.arange(self.num_block_rows), np.diff(self.indptr))
+        rows = block_row[:, None, None] * bh + np.arange(bh)[None, :, None]
+        cols = self.indices[:, None, None].astype(np.int64) * bw + np.arange(bw)
+        shape = self.blocks.shape
+        return np.broadcast_to(rows, shape).ravel(), np.broadcast_to(cols, shape).ravel()
+
+    def _structure(self) -> tuple:
+        return self.shape, self.block_shape, self.indptr, self.indices, self.nnz
+
+    @classmethod
+    def _from_structure(cls, structure: tuple, values: np.ndarray) -> "BCSRFormat":
+        shape, block_shape, indptr, indices, nnz = structure
+        return cls(shape, block_shape, indptr, indices, values.reshape(-1, *block_shape), nnz)
+
     @property
     def num_blocks(self) -> int:
         return int(self.blocks.shape[0])

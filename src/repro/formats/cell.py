@@ -479,6 +479,43 @@ class CELLFormat(SparseFormat):
         )
         return S, T
 
+    def _value_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        buckets = [b for _, b in self.iter_buckets()]
+        empty = [np.zeros(0, dtype=INDEX_DTYPE)]
+        return (
+            np.concatenate(empty + [np.repeat(b.row_ind, b.width) for b in buckets]),
+            np.concatenate(empty + [b.col.ravel() for b in buckets]),
+        )
+
+    def _structure(self) -> tuple:
+        """Buckets without ``val``, plus the operator's pattern-only parts:
+        ``S`` whole, ``T``'s index arrays, and the slots ``T`` keeps."""
+        S, T = self.operator
+        partitions = [
+            (p.index, p.col_start, p.col_end,
+             [(b.width, b.row_ind, b.col, b.has_folds, b.block_rows) for b in p.buckets])
+            for p in self.partitions
+        ]
+        kept = np.flatnonzero(self._value_slots()[1] != PAD)
+        return self.shape, self.nnz, partitions, S, (T.indices, T.indptr, T.shape), kept
+
+    @classmethod
+    def _from_structure(cls, structure: tuple, values: np.ndarray) -> "CELLFormat":
+        shape, nnz, partitions, S, (t_indices, t_indptr, t_shape), kept = structure
+        offset = 0
+        parts = []
+        for index, c0, c1, buckets in partitions:
+            built = []
+            for width, row_ind, col, has_folds, block_rows in buckets:
+                val = values[offset : offset + col.size].reshape(col.shape)
+                offset += col.size
+                built.append(Bucket(width, row_ind, col, val, has_folds, block_rows))
+            parts.append(Partition(index=index, col_start=c0, col_end=c1, buckets=built))
+        fmt = cls(shape, parts, nnz)
+        T = sp.csr_matrix((values[kept], t_indices, t_indptr), shape=t_shape)
+        fmt.__dict__["operator"] = (S, T)
+        return fmt
+
     def to_csr(self) -> sp.csr_matrix:
         row_ind, indptr, col, val = self._stacked_rows()
         rows = np.repeat(row_ind, np.diff(indptr))

@@ -32,6 +32,17 @@ class CSRFormat(SparseFormat):
     def from_csr(cls, A: sp.csr_matrix, **kwargs) -> "CSRFormat":
         return cls(A.shape, A.indptr, A.indices, A.data)
 
+    def _value_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices
+
+    def _structure(self) -> tuple:
+        return self.shape, self.indptr, self.indices
+
+    @classmethod
+    def _from_structure(cls, structure: tuple, values: np.ndarray) -> "CSRFormat":
+        shape, indptr, indices = structure
+        return cls(shape, indptr, indices, values)
+
     def to_csr(self) -> sp.csr_matrix:
         return sp.csr_matrix(
             (self.data, self.indices, self.indptr), shape=self.shape, dtype=VALUE_DTYPE

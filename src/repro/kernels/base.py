@@ -111,11 +111,13 @@ class SpMMKernel(abc.ABC):
     def stats(self, fmt: SparseFormat, J: int) -> KernelStats:
         """:meth:`plan`, memoized on ``fmt`` per ``(config, J)``.
 
-        Formats are never mutated once built (``patch_rows``, revalue and
-        OOM degradation all build new instances) and :class:`KernelStats`
-        is immutable, so the cached record is shared by every launch of
-        this format and never goes stale.  The memo is not pickled with
-        the format.
+        Formats are never mutated once built (``patch_rows`` and OOM
+        degradation build new instances) and :class:`KernelStats` is
+        immutable, so the cached record is shared by every launch of this
+        format and never goes stale.  A format re-valued from a
+        :class:`~repro.formats.base.PatternTemplate` shares the memo of
+        every format of its pattern: stats depend on the pattern only.
+        The memo is not pickled with the format.
         """
         key = (self.config, int(J))
         memo = fmt._stats_memo

@@ -45,8 +45,8 @@ Requests are op-typed (:class:`~repro.serve.server.OpRequest`,
 :mod:`~repro.serve.graph` chains ops into DAG requests
 (:class:`~repro.serve.graph.GraphRequest`) — a GNN layer's
 SDDMM → normalize → SpMM → dense-update pipeline served end to end with
-one composed geometry reused across every stage sharing the adjacency's
-sparsity pattern (docs/GNN.md).
+one composed format's pattern template re-valued for every stage sharing
+the adjacency's sparsity pattern (docs/GNN.md).
 
 See docs/SERVING.md for cache keying, eviction, deadline, batching, and
 resilience semantics.

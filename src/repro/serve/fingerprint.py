@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,6 +65,10 @@ class MatrixFingerprint:
     cols: int
     nnz: int
     digest: str
+    #: Digest of the sparsity pattern alone: :attr:`digest` itself when
+    #: values are left out, else set only with ``with_pattern``.  Not
+    #: part of the identity.
+    pattern_digest: str | None = field(default=None, compare=False)
 
     @property
     def key(self) -> str:
@@ -79,6 +83,7 @@ def fingerprint_csr(
     A: sp.csr_matrix,
     include_values: bool = True,
     sample_budget_bytes: int = 1 << 20,
+    with_pattern: bool = False,
 ) -> MatrixFingerprint:
     """Fingerprint a canonical CSR matrix (sorted indices, no duplicates).
 
@@ -86,6 +91,11 @@ def fingerprint_csr(
     when the caller guarantees values travel with the pattern (e.g. a
     normalized adjacency matrix regenerated per request) and wants hits
     across value-perturbed copies.  The server default keeps values in.
+
+    ``with_pattern`` also fills :attr:`MatrixFingerprint.pattern_digest`
+    in the same pass: the pattern digest hashes a prefix of the value
+    digest's bytes, so it is a copy of the hash state taken before
+    ``data``.
     """
     if not sp.issparse(A) or A.format != "csr":
         raise TypeError(f"fingerprint_csr requires a CSR matrix, got {type(A).__name__}")
@@ -98,13 +108,18 @@ def fingerprint_csr(
     h.update(int(A.nnz).to_bytes(8, "little"))
     _hash_array(h, A.indptr, sample_budget_bytes)
     _hash_array(h, A.indices, sample_budget_bytes)
+    pattern_digest = None
     if include_values:
+        if with_pattern:
+            pattern_digest = h.copy().hexdigest()
         _hash_array(h, A.data, sample_budget_bytes)
+    digest = h.hexdigest()
     return MatrixFingerprint(
         rows=int(A.shape[0]),
         cols=int(A.shape[1]),
         nnz=int(A.nnz),
-        digest=h.hexdigest(),
+        digest=digest,
+        pattern_digest=pattern_digest if include_values else digest,
     )
 
 

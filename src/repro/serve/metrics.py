@@ -164,8 +164,8 @@ class ServerMetrics:
     #: Stages of op spmm, sddmm or spmv.
     graph_stages: int = counter("serve_graph_stages_total",
                                 "Device op stages executed inside graph requests")
-    #: Cache misses served by rebuilding a recorded composed geometry for
-    #: a same-pattern matrix instead of re-running the pipeline.
+    #: Cache misses served by re-valuing a full compose's pattern template
+    #: for a same-pattern matrix instead of re-running the pipeline.
     plan_reuses: int = counter("serve_graph_plan_reuses_total",
                                "Misses served by rebuilding a recorded composed geometry")
     #: The cheap "re-value" path; compare against :attr:`compose_spent_s`.

@@ -53,12 +53,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.pipeline import ComposePlan, LiteForm, OverheadBreakdown
-from repro.formats.base import VALUE_DTYPE, as_csr
+from repro.formats.base import VALUE_DTYPE, PatternTemplate, as_csr
 from repro.formats.cell import CELLFormat
 from repro.formats.csr import CSRFormat
 from repro.gpu.device import DeviceLostError, SimulatedDevice, SimulatedOOMError
 from repro.gpu.stats import Measurement
-from repro.kernels.cell_spmm import CELLSpMM
+from repro.kernels.base import SpMMKernel
 from repro.kernels.csr_spmm import RowSplitCSRSpMM
 from repro.kernels.registry import kernel_for_op
 from repro.kernels.sddmm import CSRSDDMM
@@ -71,9 +71,9 @@ from repro.serve.resilience import CircuitBreaker, RetryPolicy
 
 _log = logging.getLogger(__name__)
 
-#: Most recent same-pattern composed geometries remembered per server for
-#: the structural-reuse ("re-value") rebuild path.
-_MAX_STRUCTURES = 512
+#: Most recent pattern templates remembered per server for the
+#: structural-reuse ("re-value") path.
+_MAX_TEMPLATES = 512
 
 #: Smoothing factor of the per-nnz composition-cost estimate.
 _OVERHEAD_EWMA_ALPHA = 0.3
@@ -128,11 +128,11 @@ class OpRequest:
     op: str = "spmm"
     #: SDDMM dense pair ``(U, V)``; None for spmm/spmv.
     operands: tuple[np.ndarray, np.ndarray] | None = None
-    #: On a cache miss, allow serving a *same-pattern* matrix by rebuilding
-    #: the geometry recorded from an earlier full compose (selection,
-    #: partitioning, and width search are skipped; only the format arrays
-    #: are refilled).  This is what lets a GNN chain pay one compose per
-    #: (A, op-set) even though stage outputs carry fresh values.
+    #: On a cache miss, allow serving a *same-pattern* matrix by re-valuing
+    #: the pattern template of an earlier full compose: one gather of the
+    #: values into the composed index arrays, sharing its launch stats.
+    #: This is what lets a GNN chain pay one compose per (A, op-set) even
+    #: though stage outputs carry fresh values.
     reuse_structure: bool = False
 
 
@@ -186,8 +186,8 @@ class OpResponse:
     trace_id: str | None = None
     #: Op kind the request carried (spmm/sddmm/spmv).
     op: str = "spmm"
-    #: A cache miss was served by refilling a recorded same-pattern
-    #: geometry (the structural-reuse path) instead of composing.
+    #: A cache miss was served by re-valuing a same-pattern template
+    #: (the structural-reuse path) instead of composing.
     plan_reused: bool = False
 
     @property
@@ -206,7 +206,7 @@ class _PlanPath(Enum):
     HIT = "hit"
     #: Miss served by the format bandit's chosen arm.
     BANDIT = "bandit"
-    #: Miss served by refilling a recorded same-pattern geometry.
+    #: Miss served by re-valuing a same-pattern template.
     REVALUE = "revalue"
     #: Miss served the CSR plan while a background compose runs.
     SPECULATIVE = "speculative"
@@ -221,6 +221,19 @@ class _Prepared:
 
     plan: ComposePlan
     path: _PlanPath
+
+
+@dataclass(frozen=True)
+class _Template:
+    """What a full compose leaves for same-pattern re-values: its format's
+    pattern template and the plan's own SpMM kernel (re-values bind per
+    op), widths and cost."""
+
+    pattern: PatternTemplate
+    kernel: SpMMKernel
+    num_partitions: int
+    max_widths: tuple[int, ...]
+    predicted_cost: float | None
 
 
 def member_trace_ids(requests: list[OpRequest]) -> dict:
@@ -296,9 +309,9 @@ class SpMMServer:
         self._completed: dict[int, OpResponse] = {}
         #: key -> (background compose future, matrix nnz, canonical CSR).
         self._inflight: dict[str, tuple[Future, int, sp.csr_matrix]] = {}
-        #: pattern digest -> recorded composed geometry (the structural-
-        #: reuse rebuild recipe); bounded FIFO of :data:`_MAX_STRUCTURES`.
-        self._structures: "OrderedDict[str, dict]" = OrderedDict()
+        #: pattern digest -> template of a full compose (the structural-
+        #: reuse recipe); bounded FIFO of :data:`_MAX_TEMPLATES`.
+        self._templates: "OrderedDict[str, _Template]" = OrderedDict()
         #: Keys whose cache entry holds a structurally-OOM-degraded CSR
         #: plan (the PR 3 pin): background swaps must never overwrite it.
         self._oom_pinned: set[str] = set()
@@ -395,67 +408,21 @@ class SpMMServer:
         return plan
 
     # -- structural reuse ("re-value") ----------------------------------
-    def _record_structure(self, A: sp.csr_matrix, plan: ComposePlan) -> None:
-        """Remember a full compose's geometry under the matrix's *pattern*
-        digest so later same-pattern misses can rebuild it cheaply.
-
-        Must be called with the raw composed plan (before op binding) so
-        the recorded kernel is the plan's own SpMM kernel.
-        """
-        digest = fingerprint_csr(A, include_values=False).digest
-        if plan.use_cell:
-            inc = plan.incremental
-            rec = {
-                "use_cell": True,
-                "num_partitions": plan.num_partitions,
-                "max_widths": list(plan.max_widths),
-                "block_multiple": inc.block_multiple if inc is not None else 2,
-                "predicted_cost": plan.predicted_cost,
-            }
-        else:
-            kwargs = {}
-            block_shape = getattr(plan.fmt, "block_shape", None)
-            if block_shape is not None:
-                kwargs["block_shape"] = block_shape
-            rec = {
-                "use_cell": False,
-                "fmt_cls": type(plan.fmt),
-                "fmt_kwargs": kwargs,
-                "kernel_cls": type(plan.kernel),
-                "predicted_cost": plan.predicted_cost,
-            }
-        self._structures[digest] = rec
-        self._structures.move_to_end(digest)
-        while len(self._structures) > _MAX_STRUCTURES:
-            self._structures.popitem(last=False)
-
-    def _rebuild_structure(self, A: sp.csr_matrix, rec: dict) -> ComposePlan:
-        """Refill a recorded geometry with ``A``'s values — the cheap
-        "re-value" path that skips selection, partitioning, and the
-        bucket-width search entirely (only the format arrays are built,
-        exactly as the original compose built them)."""
+    def _rebuild_structure(self, A: sp.csr_matrix, template: _Template) -> ComposePlan:
+        """The template's plan holding ``A``'s values — the "re-value"
+        path: one gather, no selection, partitioning, width search,
+        bucket build or launch-stat derivation."""
         tb = time.perf_counter()
-        if rec["use_cell"]:
-            widths = rec["max_widths"]
-            fmt = CELLFormat.from_csr(
-                A,
-                num_partitions=rec["num_partitions"],
-                max_widths=widths if widths else None,
-                block_multiple=rec["block_multiple"],
-            )
-            kernel: object = CELLSpMM()
-        else:
-            fmt = rec["fmt_cls"].from_csr(A, **rec["fmt_kwargs"])
-            kernel = rec["kernel_cls"]()
+        fmt = template.pattern.revalue(A)
         build_s = time.perf_counter() - tb
         return ComposePlan(
-            use_cell=rec["use_cell"],
+            use_cell=isinstance(fmt, CELLFormat),
             fmt=fmt,
-            kernel=kernel,
-            num_partitions=rec.get("num_partitions", 1),
-            max_widths=list(rec.get("max_widths", [])),
+            kernel=template.kernel,
+            num_partitions=template.num_partitions,
+            max_widths=list(template.max_widths),
             overhead=OverheadBreakdown(0.0, 0.0, 0.0, build_s),
-            predicted_cost=rec.get("predicted_cost"),
+            predicted_cost=template.predicted_cost,
         )
 
     def _pick_device(self, exclude: set[int] | frozenset[int] = frozenset()) -> int:
@@ -708,6 +675,7 @@ class SpMMServer:
         effective_deadline_ms: float | None,
         force_degrade: bool,
         reuse_structure: bool = False,
+        pattern: str | None = None,
     ) -> _Prepared:
         """Cache lookup → admission → compose-or-fallback for one plan key.
 
@@ -717,9 +685,11 @@ class SpMMServer:
         miss outright.  With :attr:`speculative` enabled, a miss returns
         the CSR fallback immediately and composes in the background
         (unless the key is OOM-pinned, in which case the pin is restored).
-        With ``reuse_structure``, a miss whose *pattern* matches a
-        recorded compose is served by refilling that geometry (the
-        "re-value" path) instead of re-running the pipeline.
+        With ``reuse_structure``, a miss whose *pattern* equals that of a
+        recorded compose is served by re-valuing its template (the
+        "re-value" path) instead of re-running the pipeline.  ``pattern``
+        is ``A``'s pattern digest when the caller already has it; it is
+        hashed here otherwise.
 
         Every returned plan carries the kernel of the key's op segment.
         """
@@ -749,13 +719,14 @@ class SpMMServer:
                 plan = self._arm_plan(A, key, arm, op)
                 self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
                 return _Prepared(plan, _PlanPath.BANDIT)
-        if reuse_structure and not force_degrade:
-            rec = self._structures.get(
-                fingerprint_csr(A, include_values=False).digest
-            )
-            if rec is not None:
+        reuse_structure = reuse_structure and not force_degrade
+        if reuse_structure:
+            if pattern is None:
+                pattern = fingerprint_csr(A, include_values=False).digest
+            template = self._templates.get(pattern)
+            if template is not None and template.pattern.matches(A):
                 with tracer.span("revalue", op=op, nnz=A.nnz):
-                    plan = self._bind_op(self._rebuild_structure(A, rec), A, op)
+                    plan = self._bind_op(self._rebuild_structure(A, template), A, op)
                 m.plan_reuses += 1
                 m.revalue_s += plan.overhead.total_s
                 self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
@@ -796,9 +767,15 @@ class SpMMServer:
         self._observe_compose(A.nnz, plan.overhead.total_s)
         m.compose_spent_s += plan.overhead.total_s
         if reuse_structure:
-            # Record before op binding so the recipe holds the plan's own
-            # SpMM kernel; later rebuilds re-bind per op.
-            self._record_structure(A, plan)
+            # Record before op binding so the template holds the plan's own
+            # SpMM kernel; re-values re-bind per op.
+            self._templates[pattern] = _Template(
+                PatternTemplate(plan.fmt, A), plan.kernel, plan.num_partitions,
+                tuple(plan.max_widths), plan.predicted_cost,
+            )
+            self._templates.move_to_end(pattern)
+            if len(self._templates) > _MAX_TEMPLATES:
+                self._templates.popitem(last=False)
         plan = self._bind_op(plan, A, op)
         self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
         return _Prepared(plan, _PlanPath.COMPOSED)
@@ -869,12 +846,15 @@ class SpMMServer:
             group_span = tracer.span("batch", size=n, J=J, key=key, **member_trace_ids(requests))
         with group_span as span:
             t0 = time.perf_counter()
+            reuse_structure = any(r.reuse_structure for r in requests)
+            pattern = None
             if n == 1:
                 with tracer.span("cache_lookup"):
                     if A is None:
                         A = self._canonical(first.matrix)
                     if key is None:
-                        key = plan_key(fingerprint_csr(A), J, first.op)
+                        fp = fingerprint_csr(A, with_pattern=reuse_structure)
+                        key, pattern = plan_key(fp, J, first.op), fp.pattern_digest
             deadlines = [
                 r.deadline_ms - w for r, w in zip(requests, waits) if r.deadline_ms is not None
             ]
@@ -883,7 +863,8 @@ class SpMMServer:
                 key,
                 min(deadlines) if deadlines else None,
                 force_degrade,
-                reuse_structure=any(r.reuse_structure for r in requests),
+                reuse_structure=reuse_structure,
+                pattern=pattern,
             )
             overhead_s = time.perf_counter() - t0
             cache_hit = prepared.path is _PlanPath.HIT

@@ -4,8 +4,8 @@
 instance and :meth:`KernelStats.breakdown` memoizes the timing estimate on
 the record.  These tests pin that the memo changes no observable result:
 cached records equal fresh derivations, seeded fault and drift replays are
-unchanged, rebuilt plans never see stale stats, and nothing cached leaks
-into a saved plan cache.
+unchanged, rebuilt plans never see stale stats, a re-valued plan shares
+its template's stats, and nothing cached leaks into a saved plan cache.
 """
 
 import dataclasses
@@ -210,17 +210,27 @@ class TestRebuiltPlansRederive:
         assert new != old
         assert plan.kernel.stats(plan.fmt, 32) is old
 
-    def test_revalued_plan_gets_fresh_stats(self, liteform):
+
+
+class TestRevaluedPlansShareStats:
+    def test_revalued_plan_shares_stats(self, liteform):
         server = SpMMServer(liteform=liteform, cache=PlanCache())
         A = power_law_graph(500, 6, seed=8)
         first = server.serve(OpRequest(matrix=A, B=None, J=32, reuse_structure=True))
         A2 = A.copy()
         A2.data = A2.data * 2.0
+        before = _derived()
         second = server.serve(OpRequest(matrix=A2, B=None, J=32, reuse_structure=True))
         assert second.plan_reused and second.plan.fmt is not first.plan.fmt
+        # Stats depend on the pattern only: the revalue derives none.
+        assert _derived() == before
+        assert second.measurement.stats is first.measurement.stats
         fresh = second.plan.kernel.plan(second.plan.fmt, 32)
+        for f in dataclasses.fields(KernelStats):
+            assert np.array_equal(
+                getattr(second.measurement.stats, f.name), getattr(fresh, f.name)
+            ), f.name
         assert second.measurement.stats == fresh
-        assert second.measurement.stats is not first.measurement.stats
 
 
 class TestPlanCacheBundle:

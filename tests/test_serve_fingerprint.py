@@ -116,6 +116,22 @@ class TestCollisionResistance:
         assert a.key != b.key
 
 
+class TestOnePassPatternDigest:
+    @pytest.mark.parametrize("budget", [1 << 20, 4096])
+    def test_pattern_digest_equals_values_free_digest(self, budget):
+        A = power_law_graph(800, 8, seed=9)
+        both = fingerprint_csr(A, sample_budget_bytes=budget, with_pattern=True)
+        assert both.pattern_digest == fingerprint_csr(
+            A, include_values=False, sample_budget_bytes=budget
+        ).digest
+        # The pattern digest rides along; the value key is unchanged.
+        assert both == fingerprint_csr(A, sample_budget_bytes=budget)
+
+    def test_pattern_digest_only_on_request(self):
+        A = power_law_graph(100, 4, seed=8)
+        assert fingerprint_csr(A).pattern_digest is None
+
+
 class TestValidation:
     def test_rejects_non_csr(self):
         A = sp.coo_matrix(np.eye(4, dtype=np.float32))

@@ -1,10 +1,17 @@
 """Tests for the Table 1 taxonomy and the transfer-learning utility."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.baselines.taxonomy import TABLE1, liteform_row
 from repro.core import LiteForm, generate_training_data
-from repro.core.transfer import transfer_fit, transfer_training_data
+from repro.core.transfer import (
+    refit_format_selector,
+    transfer_fit,
+    transfer_training_data,
+)
 from repro.gpu import SimulatedDevice
 from repro.gpu.device import V100
 from repro.matrices import SuiteSparseLikeCollection
@@ -86,3 +93,17 @@ class TestTransfer:
         n_before = len(source_data.format_samples)
         transfer_training_data(source_data, target_data, target_weight=2)
         assert len(source_data.format_samples) == n_before
+
+    def test_refit_swaps_in_a_fitted_copy(self, source_data, target_data):
+        """The selector other threads may be predicting with is never
+        mutated; the swapped-in copy equals an in-place fit."""
+        lf = LiteForm().fit(source_data)
+        old = lf.selector
+        before = pickle.dumps(old)
+        twin = copy.deepcopy(old)
+        refit_format_selector(lf, target_data, source=source_data, target_weight=2)
+        assert lf.selector is not old
+        assert pickle.dumps(old) == before
+        combined = transfer_training_data(source_data, target_data, target_weight=2)
+        twin.fit(combined.format_X, combined.format_y)
+        assert pickle.dumps(lf.selector) == pickle.dumps(twin)
